@@ -1,12 +1,10 @@
 """Bench: design-choice ablations (threshold schedule, staleness,
 Gaia granularity, per-layer relevance)."""
 
-from conftest import emit_report
-
 from repro.experiments import ablations
 
 
-def test_ablations(benchmark):
+def test_ablations(benchmark, emit_report):
     result = benchmark.pedantic(
         ablations.run, rounds=1, iterations=1, warmup_rounds=0
     )

@@ -1,11 +1,9 @@
 """Bench: Theorem 1 -- empirical convergence of CMFL on a convex problem."""
 
-from conftest import emit_report
-
 from repro.experiments import convergence_check
 
 
-def test_convergence_guarantee(benchmark):
+def test_convergence_guarantee(benchmark, emit_report):
     result = benchmark.pedantic(
         convergence_check.run, rounds=1, iterations=1, warmup_rounds=0
     )

@@ -1,11 +1,9 @@
 """Bench: Fig. 1 -- Normalized Model Divergence CDFs."""
 
-from conftest import emit_report
-
 from repro.experiments import fig1_divergence
 
 
-def test_fig1_divergence(benchmark):
+def test_fig1_divergence(benchmark, emit_report):
     result = benchmark.pedantic(
         fig1_divergence.run, rounds=1, iterations=1, warmup_rounds=0
     )

@@ -1,11 +1,9 @@
 """Bench: Fig. 2 -- Gaia significance decays, CMFL relevance is stable."""
 
-from conftest import emit_report
-
 from repro.experiments import fig2_measures
 
 
-def test_fig2_measures(benchmark):
+def test_fig2_measures(benchmark, emit_report):
     result = benchmark.pedantic(
         fig2_measures.run, rounds=1, iterations=1, warmup_rounds=0
     )

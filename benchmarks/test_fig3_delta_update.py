@@ -1,11 +1,9 @@
 """Bench: Fig. 3 -- sequential global updates change slowly (Eq. 8)."""
 
-from conftest import emit_report
-
 from repro.experiments import fig3_delta_update
 
 
-def test_fig3_delta_update(benchmark):
+def test_fig3_delta_update(benchmark, emit_report):
     result = benchmark.pedantic(
         fig3_delta_update.run, rounds=1, iterations=1, warmup_rounds=0
     )

@@ -6,12 +6,10 @@ and Gaia's best configuration is close to vanilla at the high-accuracy
 target (its magnitude threshold either stalls or filters nothing).
 """
 
-from conftest import emit_report
-
 from repro.experiments import fig4_table1
 
 
-def test_fig4_digits(benchmark):
+def test_fig4_digits(benchmark, emit_report):
     result = benchmark.pedantic(
         fig4_table1.run,
         kwargs={"workloads": ["digits_cnn"]},
@@ -31,7 +29,7 @@ def test_fig4_digits(benchmark):
         assert cmfl_high >= gaia_high * 0.95
 
 
-def test_fig4_nwp(benchmark):
+def test_fig4_nwp(benchmark, emit_report):
     result = benchmark.pedantic(
         fig4_table1.run,
         kwargs={"workloads": ["nwp_lstm"]},

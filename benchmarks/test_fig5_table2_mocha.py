@@ -1,11 +1,9 @@
 """Bench: Fig. 5 + Table II -- CMFL applied to federated MTL (MOCHA)."""
 
-from conftest import emit_report
-
 from repro.experiments import fig5_table2
 
 
-def test_fig5_har(benchmark):
+def test_fig5_har(benchmark, emit_report):
     comparison = benchmark.pedantic(
         fig5_table2.run_dataset,
         args=("har", "bench"),
@@ -21,7 +19,7 @@ def test_fig5_har(benchmark):
     assert comparison.skips_outliers > 2 * comparison.skips_clean
 
 
-def test_fig5_semeion(benchmark):
+def test_fig5_semeion(benchmark, emit_report):
     comparison = benchmark.pedantic(
         fig5_table2.run_dataset,
         args=("semeion", "bench"),

@@ -1,11 +1,9 @@
 """Bench: Fig. 6 -- eliminations concentrate on divergent outlier clients."""
 
-from conftest import emit_report
-
 from repro.experiments import fig6_outliers
 
 
-def test_fig6_outliers(benchmark):
+def test_fig6_outliers(benchmark, emit_report):
     result = benchmark.pedantic(
         fig6_outliers.run, rounds=1, iterations=1, warmup_rounds=0
     )

@@ -1,11 +1,9 @@
 """Bench: Fig. 7 -- cluster emulation and uploaded-byte accounting."""
 
-from conftest import emit_report
-
 from repro.experiments import fig7_ec2
 
 
-def test_fig7_ec2(benchmark):
+def test_fig7_ec2(benchmark, emit_report):
     result = benchmark.pedantic(
         fig7_ec2.run, rounds=1, iterations=1, warmup_rounds=0
     )

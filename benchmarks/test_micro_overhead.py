@@ -1,11 +1,9 @@
 """Bench: Sec. V-C -- relevance-check computational overhead."""
 
-from conftest import emit_report
-
 from repro.experiments import micro_overhead
 
 
-def test_micro_overhead(benchmark):
+def test_micro_overhead(benchmark, emit_report):
     result = benchmark.pedantic(
         micro_overhead.run, rounds=1, iterations=1, warmup_rounds=0
     )

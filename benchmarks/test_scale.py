@@ -14,8 +14,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import emit_report
-
 from repro.experiments.scale import format_point
 
 POPULATIONS = (1_000, 10_000, 100_000)
@@ -54,7 +52,7 @@ def _sweep():
     return [_measure(p) for p in POPULATIONS]
 
 
-def test_scale(benchmark):
+def test_scale(benchmark, emit_report):
     points = benchmark.pedantic(
         _sweep, rounds=1, iterations=1, warmup_rounds=0
     )

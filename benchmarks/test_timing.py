@@ -5,12 +5,10 @@ asserts the engine's core contract: every backend produces a
 bitwise-identical run history.
 """
 
-from conftest import emit_report
-
 from repro.experiments import timing
 
 
-def test_timing(benchmark):
+def test_timing(benchmark, emit_report):
     payload = benchmark.pedantic(
         timing.run_timing,
         kwargs={"workers": 4, "rounds": 2, "warmup": 1},

@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"))
+                        choices=("serial", "process"))
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--ckpt-dir", required=True)
     parser.add_argument("--trace", default=None,

@@ -45,7 +45,7 @@ def measure_divergence(trainer: FederatedTrainer, warmup_rounds: int) -> np.ndar
     # The paper measures fully locally-trained client models, so the
     # probe runs several times the per-round local epochs.  It fans out
     # through the trainer's executor like a regular round, so the probe
-    # parallelises under the thread/process backends too.
+    # parallelises or stacks under the process/batched backends too.
     plan = RoundPlan(
         iteration=max(len(trainer.history), 1),
         lr=lr,

@@ -6,7 +6,7 @@ then renders the per-phase breakdown and reconciles the trace's
 same cross-check the tier-1 gate test performs.  Useful as a manual
 sanity check of the :mod:`repro.obs` pipeline::
 
-    python -m repro.experiments.trace_smoke [--backend thread] \
+    python -m repro.experiments.trace_smoke [--backend process] \
         [--trace-path /tmp/trace.jsonl]
 """
 
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=2)
     parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"))
+                        choices=("serial", "process"))
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--trace-path", default=None,
                         help="write the trace to this .jsonl file")

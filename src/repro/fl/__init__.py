@@ -19,7 +19,6 @@ from repro.fl.executor import (
     ProcessExecutor,
     RoundPlan,
     SerialExecutor,
-    ThreadExecutor,
     WorkspaceSpec,
     make_executor,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ClientExecutionError",
     "ClientExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "BatchedExecutor",
     "RoundPlan",

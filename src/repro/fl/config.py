@@ -39,14 +39,13 @@ class ConfigError(ValueError):
 
 #: Client-execution backends (see :mod:`repro.fl.executor`):
 #: "serial"  -- one shared workspace, clients run back to back;
-#: "thread"  -- a thread pool over replica workspaces;
 #: "process" -- a persistent worker-process pool with the broadcast
 #:              parameters in shared memory;
 #: "batched" -- same-schedule clients stacked into one leading client
 #:              axis, each round step one set of large numpy kernels
 #:              (see :mod:`repro.fl.batched`).
-#: All four produce bitwise-identical run histories.
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "batched")
+#: All three produce bitwise-identical run histories.
+EXECUTOR_BACKENDS = ("serial", "process", "batched")
 
 #: What to do in a round where every update was filtered out.
 #: "keep"  -- leave the model unchanged and reuse the previous feedback
@@ -83,7 +82,7 @@ class FLConfig:
     check_finite: bool = False
     #: Client-execution backend for the compute half of each round.
     executor: str = "serial"
-    #: Worker count for the thread/process backends; 0 = os.cpu_count().
+    #: Worker count for the process backend; 0 = os.cpu_count().
     executor_workers: int = 0
     #: Structured tracing (see :mod:`repro.obs`).  Off by default: the
     #: trainer then runs on the allocation-free NullTracer.

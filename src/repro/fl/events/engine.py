@@ -152,24 +152,8 @@ class AsyncFederatedTrainer:
         boundary between ``run`` calls.
         """
         trainer = self.trainer
-        total = trainer.config.rounds if rounds is None else rounds
-        if total < 1:
-            raise ValueError("rounds must be >= 1")
-        start = len(trainer.history) + 1
-        self.target_rounds = self.closes_done + total
-        run_span = trainer._resume_span
-        trainer._resume_span = None
-        if run_span is None:
-            run_span = self.tracer.span(
-                "run",
-                policy=trainer.policy.name,
-                rounds=total,
-                start_iteration=start,
-            )
-            run_span.__enter__()
-        run_span.set_rt("backend", trainer.executor.name)
-        run_span.set_rt("workers", getattr(trainer.executor, "n_workers", 1))
-        try:
+        with trainer._run_span(rounds) as total:
+            self.target_rounds = self.closes_done + total
             self._maybe_schedule_dispatch()
             while self.closes_done < self.target_rounds:
                 event = self.queue.pop()
@@ -186,8 +170,6 @@ class AsyncFederatedTrainer:
                     self._just_closed.clear()
                     if trainer.checkpointer is not None:
                         trainer.checkpointer.maybe_save(trainer, closed)
-        finally:
-            run_span.__exit__(*sys.exc_info())
         return trainer.history
 
     def _dispatch_allowed(self, iteration: int) -> bool:
@@ -235,18 +217,11 @@ class AsyncFederatedTrainer:
             try:
                 state = trainer._begin_round(t, span)
             except BaseException:
-                if self.tracer.enabled:
-                    self.tracer.rollup = None
                 span.__exit__(*sys.exc_info())
                 raise
             self._open_round_span = span
         else:
             state = trainer._begin_round(t, None)
-            # The rollup slot is only consumed inside run_round; park
-            # it on the inflight state so overlapping rounds cannot
-            # cross-feed.
-            if self.tracer.enabled:
-                self.tracer.rollup = None
             if trainer.store is not None:
                 # Retire the views now: a later dispatch may check the
                 # same client out again while this round is in flight
@@ -349,12 +324,8 @@ class AsyncFederatedTrainer:
             try:
                 trainer._finish_round(state, span)
             except BaseException:
-                if self.tracer.enabled:
-                    self.tracer.rollup = None
                 span.__exit__(*sys.exc_info())
                 raise
-            if self.tracer.enabled:
-                self.tracer.rollup = None
             span.__exit__(None, None, None)
         else:
             staleness = (iteration - 1) - inflight.closes_at_dispatch

@@ -1,4 +1,4 @@
-"""The pluggable client-execution engine (serial / thread / process / batched).
+"""The pluggable client-execution engine (serial / process / batched).
 
 The paper ran CMFL on a 30-node EC2 cluster where every client trains
 concurrently; this module recovers that concurrency in-process.  The
@@ -34,11 +34,9 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import get_context, shared_memory
-from queue import SimpleQueue
 from time import monotonic
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,7 +47,7 @@ from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.config import EXECUTOR_BACKENDS
 from repro.fl.workspace import ModelWorkspace
 from repro.nn.module import BatchedUnsupported
-from repro.obs import NULL_TRACER
+from repro.obs import NULL_TRACER, RoundRollup
 
 __all__ = [
     "BatchedExecutor",
@@ -58,7 +56,6 @@ __all__ = [
     "ProcessExecutor",
     "RoundPlan",
     "SerialExecutor",
-    "ThreadExecutor",
     "WorkspaceSpec",
     "make_executor",
     "resolve_worker_count",
@@ -75,6 +72,9 @@ class RoundPlan:
     batch_size: int
     #: The broadcast x_{t-1} all participants start from (read-only).
     global_params: np.ndarray
+    #: This round's rollup accumulator (None when tracing is off); the
+    #: executor feeds it every participant's wall-clock task timing.
+    rollup: Optional[RoundRollup] = None
 
 
 class ClientExecutionError(RuntimeError):
@@ -134,11 +134,11 @@ class WorkspaceSpec:
     """A picklable recipe for building replica workspaces.
 
     Workers cannot share the trainer's workspace (its parameter buffers
-    are mutated by every ``train_step``), so the thread and process
-    backends build one replica per worker from this spec.  ``builder``
-    must be a module-level callable (picklable by reference) returning
-    a fresh :class:`~repro.fl.workspace.ModelWorkspace` when called
-    with ``kwargs``.  Replica initial parameters are irrelevant — every
+    are mutated by every ``train_step``), so the process backend builds
+    one replica per worker from this spec.  ``builder`` must be a
+    module-level callable (picklable by reference) returning a fresh
+    :class:`~repro.fl.workspace.ModelWorkspace` when called with
+    ``kwargs``.  Replica initial parameters are irrelevant — every
     ``compute_update`` starts by loading the broadcast vector.
     """
 
@@ -229,30 +229,9 @@ class SerialExecutor(ClientExecutor):
     def run_round(self, plan, participants):
         if self._workspace is None:
             raise RuntimeError("executor not bound to a trainer")
-        tracer = self.tracer
-        _emit_broadcast_span(tracer, plan, rt={"shm": False})
-        results: List[ClientUpdate] = []
-        round_start = monotonic()
-        for client in participants:
-            start = monotonic()
-            try:
-                update = client.compute_update(
-                    self._workspace,
-                    plan.global_params,
-                    lr=plan.lr,
-                    local_epochs=plan.local_epochs,
-                    batch_size=plan.batch_size,
-                )
-            except Exception as exc:
-                raise _client_failure(
-                    exc, client, plan, self.name,
-                    monotonic() - round_start, tracer,
-                ) from exc
-            _emit_task_span(
-                tracer, plan, client, (0.0, monotonic() - start, "main")
-            )
-            results.append(update)
-        return results
+        _emit_broadcast_span(self.tracer, plan, rt={"shm": False})
+        done = _compute_each(self, plan, participants, monotonic())
+        return _replay_tasks(self.tracer, plan, participants, done)
 
 
 class BatchedExecutor(ClientExecutor):
@@ -328,10 +307,6 @@ class BatchedExecutor(ClientExecutor):
         cohorts: Dict[int, List[int]] = {}
         for idx, client in enumerate(participants):
             cohorts.setdefault(client.n_samples, []).append(idx)
-        results: List[Optional[ClientUpdate]] = [None] * len(participants)
-        timings: List[Optional[Tuple[float, float, str]]] = [None] * len(
-            participants
-        )
         # Probe batched support once with the largest multi-client
         # cohort; on BatchedUnsupported every cohort must fall back.
         multi_sizes = [len(ix) for ix in cohorts.values() if len(ix) > 1]
@@ -345,50 +320,20 @@ class BatchedExecutor(ClientExecutor):
             # the serial reference.  (The mixed path below never hits
             # this: batched support implies a stateless plain SGD, so
             # singleton stragglers can run interleaved with cohorts.)
-            for idx, client in enumerate(participants):
-                start = monotonic()
-                try:
-                    update = client.compute_update(
-                        self._workspace,
-                        plan.global_params,
-                        lr=plan.lr,
-                        local_epochs=plan.local_epochs,
-                        batch_size=plan.batch_size,
-                    )
-                except Exception as exc:
-                    raise _client_failure(
-                        exc, client, plan, self.name,
-                        monotonic() - round_start, tracer,
-                    ) from exc
-                results[idx] = update
-                timings[idx] = (0.0, monotonic() - start, "main")
-            for client, timing in zip(participants, timings):
-                _emit_task_span(tracer, plan, client, timing)
-            return results
+            done = _compute_each(self, plan, participants, round_start)
+            return _replay_tasks(tracer, plan, participants, done)
+        done = [None] * len(participants)
         for n_samples in sorted(cohorts):
             indices = cohorts[n_samples]
             engine = self._engine_for(len(indices)) if len(indices) > 1 else None
             if engine is None:
                 # Straggler path: a singleton cohort running the
                 # serial reference on the bound workspace.
-                for idx in indices:
-                    client = participants[idx]
-                    start = monotonic()
-                    try:
-                        update = client.compute_update(
-                            self._workspace,
-                            plan.global_params,
-                            lr=plan.lr,
-                            local_epochs=plan.local_epochs,
-                            batch_size=plan.batch_size,
-                        )
-                    except Exception as exc:
-                        raise _client_failure(
-                            exc, client, plan, self.name,
-                            monotonic() - round_start, tracer,
-                        ) from exc
-                    results[idx] = update
-                    timings[idx] = (0.0, monotonic() - start, "main")
+                stragglers = [participants[idx] for idx in indices]
+                for idx, task in zip(
+                    indices, _compute_each(self, plan, stragglers, round_start)
+                ):
+                    done[idx] = task
                 continue
             cohort = [participants[idx] for idx in indices]
             start = monotonic()
@@ -402,11 +347,8 @@ class BatchedExecutor(ClientExecutor):
             per_client = (monotonic() - start) / len(cohort)
             worker = f"batched-{len(cohort)}"
             for idx, update in zip(indices, updates):
-                results[idx] = update
-                timings[idx] = (0.0, per_client, worker)
-        for client, timing in zip(participants, timings):
-            _emit_task_span(tracer, plan, client, timing)
-        return results
+                done[idx] = (update, (0.0, per_client, worker))
+        return _replay_tasks(tracer, plan, participants, done)
 
     @staticmethod
     def _run_cohort(
@@ -464,93 +406,6 @@ class BatchedExecutor(ClientExecutor):
             )
             for ci, client in enumerate(cohort)
         ]
-
-
-class ThreadExecutor(ClientExecutor):
-    """A thread pool over a checkout-queue of replica workspaces.
-
-    Each submitted client checks a replica out of the queue, trains on
-    it and returns it, so at most ``n_workers`` replicas exist and no
-    two threads ever share parameter buffers.  Client objects (and
-    their RNGs) are the parent's own — each stream is touched only by
-    its client's task, so concurrency cannot reorder draws.
-    """
-
-    name = "thread"
-
-    def __init__(self, n_workers: int = 0) -> None:
-        self.n_workers = resolve_worker_count(n_workers)
-        self._spec: Optional[WorkspaceSpec] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._replicas: Optional[SimpleQueue] = None
-        self.tracer = NULL_TRACER
-
-    def bind(self, workspace, clients, spec=None, tracer=None) -> None:
-        del clients
-        # Snapshot now: the trainer has not run yet, so the pickled
-        # model carries no bulky forward-pass caches.
-        self._spec = spec or WorkspaceSpec.from_workspace(workspace)
-        self.tracer = tracer or NULL_TRACER
-
-    def _ensure_started(self) -> None:
-        if self._pool is not None:
-            return
-        if self._spec is None:
-            raise RuntimeError("executor not bound to a trainer")
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.n_workers, thread_name_prefix="repro-client"
-        )
-        self._replicas = SimpleQueue()
-        for _ in range(self.n_workers):
-            self._replicas.put(self._spec.build())
-        self.tracer.metrics.counter("runtime.executor.pool_starts").inc()
-
-    def _run_one(
-        self, client: FLClient, plan: RoundPlan, submit_ts: float
-    ) -> Tuple[ClientUpdate, Tuple[float, float, str]]:
-        start = monotonic()
-        replica = self._replicas.get()
-        try:
-            update = client.compute_update(
-                replica,
-                plan.global_params,
-                lr=plan.lr,
-                local_epochs=plan.local_epochs,
-                batch_size=plan.batch_size,
-            )
-        finally:
-            self._replicas.put(replica)
-        end = monotonic()
-        timing = (start - submit_ts, end - start, threading.current_thread().name)
-        return update, timing
-
-    def run_round(self, plan, participants):
-        self._ensure_started()
-        tracer = self.tracer
-        _emit_broadcast_span(tracer, plan, rt={"shm": False})
-        round_start = monotonic()
-        futures = [
-            self._pool.submit(self._run_one, client, plan, monotonic())
-            for client in participants
-        ]
-        payloads = _collect_in_order(
-            futures, participants,
-            plan=plan, backend=self.name, tracer=tracer, started=round_start,
-        )
-        results: List[ClientUpdate] = []
-        for client, (update, timing) in zip(participants, payloads):
-            _emit_task_span(tracer, plan, client, timing)
-            results.append(update)
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._replicas = None
-
-    def __repr__(self) -> str:
-        return f"ThreadExecutor(n_workers={self.n_workers})"
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +582,11 @@ class ProcessExecutor(ClientExecutor):
             futures, participants,
             plan=plan, backend=self.name, tracer=tracer, started=round_start,
         )
-        results: List[ClientUpdate] = []
+        done = []
         for client, (result, rng_state, timing) in zip(participants, payloads):
             client.set_rng_state(rng_state)
-            _emit_task_span(tracer, plan, client, timing)
-            results.append(result)
-        return results
+            done.append((result, timing))
+        return _replay_tasks(tracer, plan, participants, done)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -753,7 +607,7 @@ class ProcessExecutor(ClientExecutor):
 def _emit_broadcast_span(tracer, plan: RoundPlan, rt: Dict[str, Any]) -> None:
     """The per-round parameter broadcast as an already-timed span.
 
-    For serial/thread backends the broadcast is a shared read-only
+    For the in-process backends the broadcast is a shared read-only
     array (``dur`` 0); the process backend measures its shared-memory
     copy.  ``shm``/``dur`` are runtime data — the deterministic attrs
     are the same on every backend.
@@ -788,9 +642,8 @@ def _emit_task_span(
         return
     queue_wait, dur, worker = timing
     tracer.metrics.histogram("runtime.executor.queue_wait").observe(queue_wait)
-    rollup = tracer.rollup
-    if rollup is not None:
-        rollup.observe_task_rt(client.client_id, dur, queue_wait)
+    if plan.rollup is not None:
+        plan.rollup.observe_task_rt(client.client_id, dur, queue_wait)
     if not tracer.span_sampled(plan.iteration, client.client_id):
         return
     tracer.record_span(
@@ -798,6 +651,54 @@ def _emit_task_span(
         attrs={"iteration": plan.iteration, "client_id": client.client_id},
         rt={"queue_wait": queue_wait, "dur": dur, "worker": worker},
     )
+
+
+def _compute_each(
+    executor: ClientExecutor,
+    plan: RoundPlan,
+    clients: Sequence[FLClient],
+    round_start: float,
+) -> List[Tuple[ClientUpdate, Tuple[float, float, str]]]:
+    """Run ``clients`` one after another on the executor's workspace.
+
+    The in-process per-client path, in the given (participant) order:
+    with a stateful optimizer the shared workspace's slot state makes
+    client order observable.  Returns ``(update, timing)`` pairs for
+    :func:`_replay_tasks`; the first failure is raised as a
+    :class:`ClientExecutionError` before any span is emitted, so a
+    failing round traces the same on every backend.
+    """
+    done = []
+    for client in clients:
+        start = monotonic()
+        try:
+            update = client.compute_update(
+                executor._workspace,
+                plan.global_params,
+                lr=plan.lr,
+                local_epochs=plan.local_epochs,
+                batch_size=plan.batch_size,
+            )
+        except Exception as exc:
+            raise _client_failure(
+                exc, client, plan, executor.name,
+                monotonic() - round_start, executor.tracer,
+            ) from exc
+        done.append((update, (0.0, monotonic() - start, "main")))
+    return done
+
+
+def _replay_tasks(
+    tracer,
+    plan: RoundPlan,
+    participants: Sequence[FLClient],
+    done: Sequence[Tuple[ClientUpdate, Tuple[float, float, str]]],
+) -> List[ClientUpdate]:
+    """Emit every finished task's span in participant order; return
+    the updates aligned with ``participants``."""
+    for client, (_, timing) in zip(participants, done):
+        _emit_task_span(tracer, plan, client, timing)
+    return [update for update, _ in done]
 
 
 def _trace_client_error(tracer, error: ClientExecutionError) -> None:
@@ -878,8 +779,6 @@ def make_executor(
         return backend
     if backend == "serial":
         return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(n_workers)
     if backend == "process":
         return ProcessExecutor(n_workers, mp_method=mp_method)
     if backend == "batched":

@@ -258,7 +258,7 @@ class StoreClient(FLClient):
     """A lazily materialized view of one store row.
 
     A real :class:`~repro.fl.client.FLClient` — every executor backend
-    (serial/thread/batched) runs it unchanged; its dataset aliases the
+    (serial/batched) runs it unchanged; its dataset aliases the
     partition's shared arrays and its RNG stream was restored from (or
     freshly derived for) its shard row.  Views live for one round:
     the store's :meth:`~ClientStateStore.writeback` captures the

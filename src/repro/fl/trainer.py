@@ -6,7 +6,7 @@ server averages the uploaded updates into the new global model.  All
 communication and measurement bookkeeping is recorded per round.
 
 The round is split into a *compute* half — fanned out through a
-pluggable :mod:`repro.fl.executor` backend (serial, thread or process)
+pluggable :mod:`repro.fl.executor` backend (serial, process or batched)
 — and a *decide/aggregate* half that always runs here, in participant
 order, so run histories are bitwise-identical across backends.
 """
@@ -14,9 +14,10 @@ order, so run histories are bitwise-identical across backends.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from repro.core.policy import PolicyContext, UploadPolicy
 from repro.core.relevance import relevance_per_segment
 from repro.fl.accounting import CommunicationLedger
 from repro.fl.client import ClientUpdate, FLClient
-from repro.fl.config import ConfigError, FLConfig
+from repro.fl.config import EXECUTOR_BACKENDS, ConfigError, FLConfig
 from repro.fl.executor import (
     ClientExecutor,
     RoundPlan,
@@ -182,10 +183,12 @@ class FederatedTrainer:
                 raise ConfigError(
                     "the process backend pins client objects into worker "
                     "processes at bind time; store-backed views are "
-                    "materialized per round — use the serial, thread or "
-                    "batched backend with a ClientStateStore",
+                    "materialized per round — use the serial or batched "
+                    "backend with a ClientStateStore",
                     constraint="store-process-backend",
-                    supported=("serial", "thread", "batched"),
+                    supported=tuple(
+                        b for b in EXECUTOR_BACKENDS if b != "process"
+                    ),
                 )
             self.store.metrics = self.tracer.metrics
         self.executor.bind(
@@ -217,14 +220,8 @@ class FederatedTrainer:
     def run_round(self, t: int) -> RoundRecord:
         """Execute one synchronous iteration (1-based index ``t``)."""
         with self.tracer.span("round", iteration=t) as round_span:
-            try:
-                state = self._begin_round(t, round_span)
-                return self._finish_round(state, round_span)
-            finally:
-                # The rollup accumulator never outlives its round, even
-                # when the round dies mid-flight.
-                if self.tracer.enabled:
-                    self.tracer.rollup = None
+            state = self._begin_round(t, round_span)
+            return self._finish_round(state, round_span)
 
     def _begin_round(self, t: int, round_span) -> RoundState:
         """The compute half: select a cohort and fan it out.
@@ -253,21 +250,20 @@ class FederatedTrainer:
         # Compute half: fan the participants out through the executor.
         # Results come back aligned with the participant order whatever
         # the backend's completion order was.  The executor itself emits
-        # the broadcast + per-client client_compute spans.
+        # the broadcast + per-client client_compute spans.  The round's
+        # rollup rides on the plan and the state: the executor feeds it
+        # wall-clock task timings for every participant (sampled or
+        # not), the decide loop in _finish_round the deterministic
+        # decision stream.
+        rollup = RoundRollup(t) if self.tracer.enabled else None
         plan = RoundPlan(
             iteration=t,
             lr=lr,
             local_epochs=self.config.local_epochs,
             batch_size=self.config.batch_size,
             global_params=global_params,
+            rollup=rollup,
         )
-        # One rollup per round: executors feed wall-clock task timings
-        # for every participant (sampled or not), the decide loop in
-        # _finish_round feeds the deterministic decision stream.
-        rollup: Optional[RoundRollup] = None
-        if self.tracer.enabled:
-            rollup = RoundRollup(t)
-            self.tracer.rollup = rollup
         results = self.executor.run_round(plan, participants)
         return RoundState(
             iteration=t,
@@ -447,7 +443,6 @@ class FederatedTrainer:
             rollup_attrs = rollup.attrs()
             rollup_rt = rollup.rt()
             self.tracer.event("round_rollup", attrs=rollup_attrs, rt=rollup_rt)
-            self.tracer.rollup = None
             if self.health is not None:
                 metrics = self.tracer.metrics
                 counter_bytes = None
@@ -478,10 +473,27 @@ class FederatedTrainer:
         instead of opening a new one, so the resumed event stream is
         indistinguishable from an uninterrupted run's.
         """
+        start = len(self.history) + 1
+        with self._run_span(rounds) as total:
+            for t in range(start, start + total):
+                self.run_round(t)
+                if self.checkpointer is not None:
+                    self.checkpointer.maybe_save(self, t)
+        return self.history
+
+    @contextmanager
+    def _run_span(self, rounds: Optional[int]) -> Iterator[int]:
+        """The ``run`` span around ``rounds`` more rounds; yields the count.
+
+        Shared by this loop and the async engine's: a trainer built by
+        :meth:`restore` continues the checkpointed trace's still-open
+        span; otherwise a fresh one opens at the next iteration.  The
+        span closes on every exit, recording the error that ended the
+        run, if any.
+        """
         total = self.config.rounds if rounds is None else rounds
         if total < 1:
             raise ValueError("rounds must be >= 1")
-        start = len(self.history) + 1
         run_span = self._resume_span
         self._resume_span = None
         if run_span is None:
@@ -489,19 +501,15 @@ class FederatedTrainer:
                 "run",
                 policy=self.policy.name,
                 rounds=total,
-                start_iteration=start,
+                start_iteration=len(self.history) + 1,
             )
             run_span.__enter__()
         run_span.set_rt("backend", self.executor.name)
         run_span.set_rt("workers", getattr(self.executor, "n_workers", 1))
         try:
-            for t in range(start, start + total):
-                self.run_round(t)
-                if self.checkpointer is not None:
-                    self.checkpointer.maybe_save(self, t)
+            yield total
         finally:
             run_span.__exit__(*sys.exc_info())
-        return self.history
 
     def save_checkpoint(self, path: Union[str, Path]) -> Path:
         """Checkpoint the current run state to ``path`` (see repro.ckpt).
@@ -578,8 +586,8 @@ class FederatedTrainer:
         that a tracer the trainer built from the config knobs is closed
         too (final metrics snapshot + sink flush), so a traced trainer
         should not run further rounds after ``close``.  The executor
-        itself remains usable — thread/process backends lazily restart
-        their pools on the next round.
+        itself remains usable — the process backend lazily restarts its
+        pool on the next round.
         """
         self.executor.close()
         if self._owns_tracer:

@@ -509,8 +509,8 @@ class NoSequentialClientLoopRule(LintRule):
 
     A literal ``for client in ...: client.compute_update(...)`` loop
     (or the comprehension equivalent) serialises the compute half of a
-    round and silently bypasses the execution engine — the thread and
-    process backends, the shared-memory broadcast and the deterministic
+    round and silently bypasses the execution engine — the process and
+    batched backends, the shared-memory broadcast and the deterministic
     reduction all live behind ``ClientExecutor.run_round``.  Only the
     executor module itself (where the serial backend is the
     implementation) may loop directly.
@@ -556,7 +556,7 @@ class NoSequentialClientLoopRule(LintRule):
                     call,
                     "sequential per-client compute loop; fan out through "
                     "the trainer's executor (ClientExecutor.run_round) so "
-                    "the thread/process backends apply",
+                    "the process/batched backends apply",
                 )
                 return
 
@@ -582,7 +582,7 @@ class NoSequentialClientLoopRule(LintRule):
                     call,
                     "sequential per-client compute comprehension; fan out "
                     "through the trainer's executor "
-                    "(ClientExecutor.run_round) so the thread/process "
+                    "(ClientExecutor.run_round) so the process/batched "
                     "backends apply",
                 )
         self.generic_visit(node)

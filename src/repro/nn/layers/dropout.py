@@ -47,8 +47,8 @@ class BatchedDropout(BatchedModule):
 
     Draws one stacked mask per step from the serial layer's own stream.
     Dropout already places a model outside the cross-backend bitwise
-    contract — thread/process replicas each own an independent copy of
-    the layer stream — and the batched path is no different: the single
+    contract — process replicas each own an independent copy of the
+    layer stream — and the batched path is no different: the single
     ``(C, ...)`` draw consumes the stream in a different order than C
     serial per-client passes would.  Inference is the exact identity on
     every backend.

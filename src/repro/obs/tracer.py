@@ -33,7 +33,7 @@ Event schema (one JSON object per line in a ``.jsonl`` trace)::
 **Determinism contract.**  Everything outside the ``rt`` attribute —
 event ordering, span nesting, names, ids and ``attrs`` payloads — is a
 pure function of the run's decisions and therefore identical across the
-serial/thread/process execution backends.  All wall-clock and
+serial/process/batched execution backends.  All wall-clock and
 scheduling-dependent data (timestamps, durations, queue waits, worker
 identities, backend names, host info) lives in ``rt``, and metrics in
 the ``runtime.*`` namespace keep their values there too.
@@ -54,7 +54,7 @@ from time import monotonic
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
-from repro.obs.rollup import RoundRollup, SpanSampler
+from repro.obs.rollup import SpanSampler
 from repro.obs.sinks import MemorySink, TraceSink
 
 __all__ = [
@@ -133,10 +133,6 @@ class Tracer:
         # re-derives it from the config, so it never rides in a
         # checkpoint.
         self.sampler: Optional[SpanSampler] = None  # ckpt: transient — config-derived pure hash
-        # The current round's rollup accumulator, attached by the
-        # trainer for the duration of one round so executors can feed
-        # per-task runtime data; always None at round boundaries.
-        self.rollup: Optional[RoundRollup] = None  # ckpt: transient — intra-round scratch
         self._seq = 0
         self._next_id = 1
         self._stack: List[Span] = []
@@ -196,9 +192,9 @@ class Tracer:
         """Emit an already-timed span as a child of the current span.
 
         The executor backends time client tasks wherever they physically
-        ran (worker thread/process) and replay them here in participant
-        order; ``rt`` carries the measured ``dur`` (default 0.0) plus
-        any other runtime fields.
+        ran (this process, a batched cohort or a worker process) and
+        replay them here in participant order; ``rt`` carries the
+        measured ``dur`` (default 0.0) plus any other runtime fields.
         """
         span_id = self._next_id
         self._next_id += 1
@@ -357,17 +353,18 @@ class Tracer:
 
         Idempotent.  The snapshot separates deterministic metrics
         (``attrs``) from ``runtime.*`` ones (``rt``), like every other
-        event.
+        event, and is emitted even when empty: whether a backend
+        registered runtime-only metrics must not change the event
+        stream.
         """
         if self._closed:
             return
         self._closed = True
-        if len(self.metrics):
-            self.event(
-                "metrics_snapshot",
-                attrs={"metrics": self.metrics.snapshot(runtime=False)},
-                rt={"metrics": self.metrics.snapshot(runtime=True)},
-            )
+        self.event(
+            "metrics_snapshot",
+            attrs={"metrics": self.metrics.snapshot(runtime=False)},
+            rt={"metrics": self.metrics.snapshot(runtime=True)},
+        )
         for sink in self.sinks:
             sink.close()
 
@@ -410,7 +407,6 @@ class NullTracer:
     enabled = False
     metrics = _NULL_METRICS
     sampler = None
-    rollup = None
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN

@@ -59,7 +59,9 @@ def _policy(kind="always"):
     return CMFLPolicy(InverseSqrtThreshold(0.8))
 
 
-def _trainer(backend="serial", policy="always", rounds=4, trace_path=None):
+def _trainer(backend="serial", policy="always", rounds=4, trace_path=None,
+             **cfg_kw):
+    cfg_kw.setdefault("trace", trace_path is not None)
     config = FLConfig(
         rounds=rounds,
         local_epochs=1,
@@ -67,8 +69,8 @@ def _trainer(backend="serial", policy="always", rounds=4, trace_path=None):
         lr=ConstantLR(0.3),
         seed=11,
         executor=backend,
-        trace=trace_path is not None,
         trace_path=None if trace_path is None else str(trace_path),
+        **cfg_kw,
     )
     return FederatedTrainer(_workspace(), _clients(), _policy(policy), config)
 
@@ -256,6 +258,43 @@ class TestBoundedStaleness:
         }
         assert {"dispatch", "round_close"} <= span_names
         assert "round" not in span_names
+
+
+class TestRollupPlumbing:
+    """Each round's rollup rides on its own plan: every dispatched round
+    feeds its task timings into its own rollup and into no other."""
+
+    @pytest.mark.parametrize("trace_sample", [1.0, 0.01])
+    @pytest.mark.parametrize("staleness_bound", [None, 2], ids=["sync", "S2"])
+    def test_each_rollup_counts_exactly_its_own_tasks(
+        self, staleness_bound, trace_sample
+    ):
+        trainer = _trainer(rounds=6, trace=True, trace_sample=trace_sample)
+        if staleness_bound is None:
+            runner = trainer
+        else:
+            runner = AsyncFederatedTrainer(
+                trainer,
+                AsyncConfig(
+                    staleness_bound=staleness_bound,
+                    drop_rate=0.0,
+                    speed_sigma=1.0,
+                ),
+            )
+        with runner:
+            runner.run()
+        events = trainer.tracer.memory_events()
+        rollups = [e for e in events if e["name"] == "round_rollup"]
+        assert [e["attrs"]["iteration"] for e in rollups] == list(range(1, 7))
+        for event in rollups:
+            assert event["attrs"]["n_participants"] == 6
+            assert (
+                event["rt"]["compute_s"]["count"]
+                == event["attrs"]["n_participants"]
+            )
+        if staleness_bound is not None:
+            # The rounds really overlapped: some closed stale.
+            assert trainer.history.staleness().max() >= 1
 
 
 # -- configuration errors ----------------------------------------------------

@@ -17,7 +17,6 @@ from repro.fl.executor import (
     ProcessExecutor,
     RoundPlan,
     SerialExecutor,
-    ThreadExecutor,
     WorkspaceSpec,
     make_executor,
     resolve_worker_count,
@@ -222,9 +221,9 @@ class TestBatchedBackend:
 
 
 class TestCrashHandling:
-    def test_thread_backend_names_failing_client(self):
+    def test_serial_backend_names_failing_client(self):
         trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                                 backend="thread")
+                                 backend="serial")
         with trainer:
             trainer.clients[2] = _ExplodingClient(
                 2, trainer.clients[2].train_data
@@ -297,16 +296,16 @@ class TestWorkspaceSpec:
 
 class TestFactoryAndConfig:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            make_executor("gpu")
+        for name in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="unknown executor backend"):
+                make_executor(name)
 
     def test_instances_pass_through(self):
-        ex = ThreadExecutor(2)
+        ex = BatchedExecutor()
         assert make_executor(ex) is ex
 
     def test_make_executor_maps_names(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadExecutor)
         assert isinstance(make_executor("process"), ProcessExecutor)
         assert isinstance(make_executor("batched"), BatchedExecutor)
 
@@ -317,8 +316,11 @@ class TestFactoryAndConfig:
             resolve_worker_count(-1)
 
     def test_config_validates_executor_fields(self):
-        with pytest.raises(ValueError, match="executor"):
-            FLConfig(executor="bogus")
+        for bogus in ("bogus", "thread"):
+            with pytest.raises(ValueError, match="executor") as exc:
+                FLConfig(executor=bogus)
+            assert str(EXECUTOR_BACKENDS) in str(exc.value)
+        assert EXECUTOR_BACKENDS == ("serial", "process", "batched")
         with pytest.raises(ValueError, match="executor_workers"):
             FLConfig(executor_workers=-1)
 

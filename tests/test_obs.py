@@ -230,11 +230,40 @@ class TestDeterminismContract:
             assert views[backend] == views["serial"], backend
         assert len(set(digests.values())) == 1
         assert diff_traces(
-            views["serial"], views["thread"]
+            views["serial"], views["process"]
         ) == []
 
+    def test_failing_round_traces_identically_across_backends(self):
+        """A client that raises leaves the same deterministic trace on
+        every backend: the clients computed before it emit no
+        ``client_compute`` span, and one ``client_error`` names it.  On
+        batched the failing client is a singleton cohort, so it takes
+        the per-client fallback path."""
+        views = {}
+        for backend in EXECUTOR_BACKENDS:
+            trainer, _ = _federation(
+                CMFLPolicy(InverseSqrtThreshold(0.8)), backend=backend,
+                trace=True,
+            )
+            shrunk = trainer.clients[2].train_data.subset(range(7))
+            trainer.clients[2] = _ExplodingClient(2, shrunk)
+            trainer.executor.bind(
+                trainer.workspace, trainer.clients, tracer=trainer.tracer
+            )
+            with trainer:
+                with pytest.raises(ClientExecutionError, match="client 2"):
+                    trainer.run(1)
+            events = trainer.tracer.memory_events()
+            assert validate_trace(events) == []
+            views[backend] = deterministic_view(events)
+        for backend in EXECUTOR_BACKENDS:
+            assert diff_traces(views["serial"], views[backend]) == [], backend
+        names = [e["name"] for e in views["serial"]]
+        assert names.count("client_error") == 1
+        assert "client_compute" not in names
+
     def test_deterministic_view_masks_rt_and_runtime_metrics(self):
-        _, events = _traced_events("thread")
+        _, events = _traced_events("process")
         view = deterministic_view(events)
         assert all("rt" not in e and "seq" not in e for e in view)
         assert all(
@@ -327,7 +356,9 @@ class TestSampledTracing:
         from repro.experiments.scale import make_scale_trainer
 
         digests = set()
-        for backend in ("serial", "thread", "batched"):
+        # Store-backed views are materialized per round, which the
+        # process backend's pinned client snapshots cannot follow.
+        for backend in ("serial", "batched"):
             trainer = make_scale_trainer(
                 500, 20, backend=backend, trace=True, trace_sample=0.5
             )
@@ -363,7 +394,7 @@ class TestSampledTracing:
 class TestClientExecutionError:
     def test_structured_context_attributes(self):
         trainer, _ = _federation(
-            CMFLPolicy(InverseSqrtThreshold(0.8)), backend="thread",
+            CMFLPolicy(InverseSqrtThreshold(0.8)), backend="process",
             client_cls=_ExplodingClient, trace=True,
         )
         with trainer:
@@ -372,7 +403,7 @@ class TestClientExecutionError:
         error = exc.value
         assert error.client_id == 0
         assert error.iteration == 1
-        assert error.backend == "thread"
+        assert error.backend == "process"
         assert error.cause_type == "RuntimeError"
         assert error.elapsed_s is not None and error.elapsed_s >= 0
         assert error.context()["client_id"] == 0

@@ -10,7 +10,7 @@ with ``tools/bench_compare.py``.
 Usage::
 
     python tools/bench_timing.py                     # full sweep, workers=4
-    python tools/bench_timing.py --backends serial thread
+    python tools/bench_timing.py --backends serial batched
     python tools/bench_timing.py --rounds 5 --out /tmp/after.json
 """
 
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
         "--workers",
         type=int,
         default=4,
-        help="worker count for thread/process backends (default: 4)",
+        help="worker count for the process backend (default: 4)",
     )
     parser.add_argument(
         "--rounds", type=int, default=3, help="timed rounds per backend"
