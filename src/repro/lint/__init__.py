@@ -10,7 +10,7 @@ reports violations of those invariants as ``file:line`` diagnostics.
 
 Usage::
 
-    python -m repro.lint src/repro [--format text|json]
+    python -m repro.lint src/repro [--project] [--format text|json]
 
 or programmatically::
 
@@ -27,7 +27,7 @@ silences the rule for the whole file.  Rules are configured in
 from repro.lint.config import LintConfig, RuleSettings, load_config
 from repro.lint.engine import FileContext, LintRule, Linter, Violation, run_lint
 from repro.lint.project import AnalysisResult, ProjectAnalyzer, ProjectModel
-from repro.lint.reporting import format_json, format_sarif, format_text
+from repro.lint.reporting import format_json, format_text
 from repro.lint.rules import (
     AllExportsRule,
     DEFAULT_RULES,
@@ -56,7 +56,6 @@ __all__ = [
     "UnusedPureResultRule",
     "Violation",
     "format_json",
-    "format_sarif",
     "format_text",
     "load_config",
     "run_lint",

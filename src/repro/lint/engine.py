@@ -24,6 +24,7 @@ __all__ = [
     "package_relative_path",
     "parse_suppressions",
     "run_lint",
+    "syntax_error_violation",
 ]
 
 #: ``# repro-lint: disable=a,b`` / ``disable`` / ``disable-file=a``.
@@ -206,15 +207,7 @@ class Linter:
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            return [
-                Violation(
-                    rule="syntax-error",
-                    path=str(path),
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 0) + 1 if exc.offset else 1,
-                    message=f"cannot parse file: {exc.msg}",
-                )
-            ]
+            return [syntax_error_violation(path, exc)]
         return self.lint_tree(ctx, tree)
 
     def lint_tree(self, ctx: FileContext, tree: ast.Module) -> List[Violation]:
@@ -265,6 +258,20 @@ class Linter:
                     continue
                 seen.add(resolved)
                 yield path
+
+
+def syntax_error_violation(path: Path, exc: SyntaxError) -> Violation:
+    """The ``syntax-error`` finding for a file that does not parse.
+
+    ``SyntaxError.offset`` is already 1-based, like rule columns.
+    """
+    return Violation(
+        rule="syntax-error",
+        path=str(path),
+        line=exc.lineno or 1,
+        col=exc.offset or 1,
+        message=f"cannot parse file: {exc.msg}",
+    )
 
 
 def _suppressed(

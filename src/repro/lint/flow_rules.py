@@ -3,8 +3,8 @@
 Unlike v1 :class:`~repro.lint.engine.LintRule` visitors, a
 :class:`ProjectRule` never touches an AST — it reads the summaries,
 call graph and taint fixpoint, and emits :class:`Violation` objects.
-The analyzer applies path scoping, suppression comments and the
-baseline afterwards, exactly as the per-file engine does.
+The analyzer applies path scoping and suppression comments
+afterwards, exactly as the per-file engine does.
 """
 
 from __future__ import annotations

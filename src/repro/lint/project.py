@@ -6,12 +6,9 @@ the facts the flow rules need: the import table, top-level bindings,
 per-function call sites, RNG/wall-clock taint expressions, shared-state
 stores, class attribute maps and capture-method references.  Phase 2
 (:mod:`repro.lint.flow_rules`) runs pure-data rules over the
-:class:`ProjectModel` built from those summaries.
-
-Because summaries are plain dicts, the incremental cache
-(:mod:`repro.lint.cache`) can persist them keyed by file-content
-SHA-256: a warm run re-reads and re-hashes sources but never re-parses
-an unchanged file, which is where the cold/warm speedup comes from.
+:class:`ProjectModel` built from those summaries.  Each file is read
+and parsed once; the same tree feeds the per-file rules and the
+extractor.
 
 Taint expressions are symbolic: ``{"d": bool, "c": [refs], "wc": bool}``
 means *tainted directly* (``d``: the value came straight out of an RNG
@@ -25,10 +22,7 @@ cross-module component because every clock source is a direct call).
 from __future__ import annotations
 
 import ast
-import hashlib
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -40,37 +34,19 @@ from repro.lint.engine import (
     Violation,
     package_relative_path,
     parse_suppressions,
+    syntax_error_violation,
 )
 from repro.lint.rules import dotted_parts
 
 __all__ = [
     "AnalysisResult",
     "CAPTURE_METHODS",
-    "EXTRACTOR_VERSION",
     "ModuleSummary",
     "ProjectAnalyzer",
     "ProjectModel",
     "extract_summary",
     "module_name_for",
 ]
-
-#: Bump when the summary layout or extraction semantics change; the
-#: cache treats entries written by a different version as misses.
-EXTRACTOR_VERSION = 3
-
-#: CPython 3.11 tracks AST-object construction depth in per-interpreter
-#: (not per-thread) state, so concurrent ``ast.parse`` calls can corrupt
-#: the counter and raise ``SystemError: AST constructor recursion depth
-#: mismatch`` — reliably so once anything (e.g. hypothesis) registers a
-#: ``gc.callbacks`` hook that yields the GIL mid-conversion.  All parses
-#: reachable from the thread pool take this lock; extraction and the
-#: per-file rule walk (pure Python) still run in parallel.
-_PARSE_LOCK = threading.Lock()
-
-
-def _parse(source: str, filename: str) -> ast.Module:
-    with _PARSE_LOCK:
-        return ast.parse(source, filename=filename)
 
 #: Method names that serialise/deserialise persistent state.  A class
 #: defining (or inheriting) one is "stateful" for ckpt-state-coverage,
@@ -131,10 +107,6 @@ def module_name_for(package_path: str) -> str:
     return ".".join(["repro", *parts]) if parts else "repro"
 
 
-def _sha256(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
 # -- taint expressions -------------------------------------------------------
 
 
@@ -161,7 +133,7 @@ def _is_tainted_shape(t: Optional[Dict]) -> bool:
 
 @dataclass
 class ModuleSummary:
-    """One module's phase-1 digest; ``data`` is pure JSON."""
+    """One module's phase-1 digest; ``data`` holds only plain values."""
 
     package_path: str
     data: Dict[str, Any]
@@ -169,10 +141,6 @@ class ModuleSummary:
     @property
     def module(self) -> str:
         return self.data["module"]
-
-    @property
-    def sha(self) -> str:
-        return self.data["sha"]
 
     @property
     def path(self) -> str:
@@ -189,15 +157,6 @@ class ModuleSummary:
     @property
     def classes(self) -> Dict[str, Dict]:
         return self.data["classes"]
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"package_path": self.package_path, "data": self.data}
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            package_path=payload["package_path"], data=payload["data"]
-        )
 
 
 class _FunctionExtractor:
@@ -802,7 +761,6 @@ class _ModuleExtractor:
     """Walks one module and produces its summary dict."""
 
     def __init__(self, source: str, path: str, package_path: str) -> None:
-        self.source = source
         self.path = path
         self.package_path = package_path
         self.module_name = module_name_for(package_path)
@@ -931,7 +889,7 @@ class _ModuleExtractor:
                 if value is None:
                     continue
                 scratch = _FunctionExtractor(
-                    _parse("def _m(): pass", "<scratch>").body[0], self, None
+                    ast.parse("def _m(): pass").body[0], self, None
                 )
                 taint = scratch._eval(value)
                 if taint["d"] or taint["c"]:
@@ -960,7 +918,6 @@ class _ModuleExtractor:
         return {
             "module": self.module_name,
             "path": self.path,
-            "sha": _sha256(self.source),
             "imports": self.imports,
             "toplevel": sorted(self.toplevel),
             "module_assigns": module_assigns,
@@ -980,13 +937,11 @@ def extract_summary(
     source: str, path: Any, tree: Optional[ast.Module] = None
 ) -> Optional[ModuleSummary]:
     """Extract a :class:`ModuleSummary`; ``None`` on a syntax error."""
-    from pathlib import Path
-
     path = Path(path)
     package_path = package_relative_path(path)
     if tree is None:
         try:
-            tree = _parse(source, str(path))
+            tree = ast.parse(source, filename=str(path))
         except SyntaxError:
             return None
     extractor = _ModuleExtractor(source, str(path), package_path)
@@ -1038,11 +993,6 @@ class ProjectModel:
                         mfacts,
                     )
                     self.methods_by_name.setdefault(mname, []).append(fid)
-        self._deps = self._import_graph()
-        self._rdeps: Dict[str, Set[str]] = {}
-        for pp, deps in self._deps.items():
-            for dep in deps:
-                self._rdeps.setdefault(dep, set()).add(pp)
 
     # -- resolution ---------------------------------------------------------
 
@@ -1077,54 +1027,6 @@ class ProjectModel:
                 return fid
         return None
 
-    # -- import graph -------------------------------------------------------
-
-    def _import_graph(self) -> Dict[str, Set[str]]:
-        graph: Dict[str, Set[str]] = {}
-        for pp, summary in self.modules.items():
-            deps: Set[str] = set()
-            for canonical in summary.imports.values():
-                probe = canonical
-                while probe:
-                    if probe in self.by_module and self.by_module[probe] != pp:
-                        deps.add(self.by_module[probe])
-                        break
-                    if "." not in probe:
-                        break
-                    probe = probe.rsplit(".", 1)[0]
-            graph[pp] = deps
-        return graph
-
-    def forward_closure(self, package_path: str) -> Set[str]:
-        """``package_path`` plus everything it transitively imports."""
-        out: Set[str] = set()
-        queue = [package_path]
-        while queue:
-            current = queue.pop()
-            if current in out:
-                continue
-            out.add(current)
-            queue.extend(self._deps.get(current, ()))
-        return out
-
-    def reverse_import_closure(self, changed: Sequence[str]) -> Set[str]:
-        """Changed modules plus everything that transitively imports them.
-
-        This bounds which modules' flow findings can be affected by an
-        edit, so the incremental cache re-runs phase 2 only for this
-        set (cross-module effects that bypass imports — e.g. duck-typed
-        method resolution — are a documented approximation).
-        """
-        out: Set[str] = set()
-        queue = [pp for pp in changed]
-        while queue:
-            current = queue.pop()
-            if current in out:
-                continue
-            out.add(current)
-            queue.extend(self._rdeps.get(current, ()))
-        return out
-
 
 @dataclass
 class AnalysisResult:
@@ -1150,8 +1052,6 @@ def _flow_suppressed(
 class ProjectAnalyzer:
     """Two-phase driver: per-file summaries, then whole-program rules.
 
-    ``jobs`` parallelises the per-file read/parse/lint/extract work on a
-    thread pool; phase 2 is pure dict traversal and stays serial.
     ``file_sources`` lets tests inject edited sources without touching
     disk (keyed by absolute path string).
     """
@@ -1160,62 +1060,27 @@ class ProjectAnalyzer:
         self,
         config: Optional[LintConfig] = None,
         rules: Optional[Sequence[type]] = None,
-        cache_path: Optional[Path] = None,
-        jobs: int = 1,
         file_sources: Optional[Dict[str, str]] = None,
     ) -> None:
         self.linter = Linter(config=config, rules=rules)
         self.config = self.linter.config
-        self.cache_path = cache_path
-        self.jobs = max(1, int(jobs))
         self.file_sources = dict(file_sources or {})
 
     # -- phase 1 ------------------------------------------------------------
 
-    def _analyze_file(self, path: Path, cache) -> Dict[str, Any]:
+    def _analyze_file(
+        self, path: Path
+    ) -> Tuple[List[Violation], Optional[ModuleSummary]]:
         source = self.file_sources.get(str(path))
         if source is None:
             source = path.read_text(encoding="utf-8")
-        sha = _sha256(source)
-        package_path = package_relative_path(path)
-        hit = cache.lookup_module(package_path, sha)
-        if hit is not None:
-            return {
-                "package_path": package_path,
-                "sha": sha,
-                "summary": hit["summary"],
-                "violations": hit["violations"],
-            }
         try:
-            tree = _parse(source, str(path))
+            tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            violations = [
-                Violation(
-                    rule="syntax-error",
-                    path=str(path),
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 0) + 1 if exc.offset else 1,
-                    message=f"cannot parse file: {exc.msg}",
-                )
-            ]
-            cache.store_module(package_path, sha, None, violations)
-            return {
-                "package_path": package_path,
-                "sha": sha,
-                "summary": None,
-                "violations": violations,
-            }
+            return [syntax_error_violation(path, exc)], None
         ctx = FileContext.from_source(path, source)
         violations = self.linter.lint_tree(ctx, tree)
-        summary = extract_summary(source, path, tree=tree)
-        summary_json = summary.to_json() if summary is not None else None
-        cache.store_module(package_path, sha, summary_json, violations)
-        return {
-            "package_path": package_path,
-            "sha": sha,
-            "summary": summary_json,
-            "violations": violations,
-        }
+        return violations, extract_summary(source, path, tree=tree)
 
     # -- phase 2 ------------------------------------------------------------
 
@@ -1275,80 +1140,19 @@ class ProjectAnalyzer:
     # -- driver -------------------------------------------------------------
 
     def analyze(self, paths: Sequence[str]) -> AnalysisResult:
-        from repro.lint.cache import AnalysisCache, config_key
-
         start = time.perf_counter()
-        key = config_key(
-            {
-                "exclude": list(self.config.exclude),
-                "rules": self.config.rules,
-                "rule_names": [r.name for r in self.linter.rule_classes],
-            }
-        )
-        cache = AnalysisCache(self.cache_path, key)
         files = sorted(self.linter.iter_files(paths))
-        if self.jobs > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                results = list(
-                    pool.map(lambda p: self._analyze_file(p, cache), files)
-                )
-        else:
-            results = [self._analyze_file(p, cache) for p in files]
-
         violations: List[Violation] = []
         summaries: List[ModuleSummary] = []
-        for result in results:
-            violations.extend(result["violations"])
-            if result["summary"] is not None:
-                summaries.append(ModuleSummary.from_json(result["summary"]))
-        model = ProjectModel(summaries)
-
-        # Per-module flow keys: own sha + every transitively imported
-        # module's sha.  An edit therefore invalidates exactly the
-        # edited module and its reverse-import closure.
-        flow_keys: Dict[str, str] = {}
-        shas = {r["package_path"]: r["sha"] for r in results}
-        for pp in model.modules:
-            closure = sorted(model.forward_closure(pp))
-            blob = ";".join(f"{c}={shas.get(c, '?')}" for c in closure)
-            flow_keys[pp] = _sha256(blob)
-        cached_flow = {
-            pp: cache.lookup_flow(pp, flow_key)
-            for pp, flow_key in flow_keys.items()
-        }
-        flow_reused = sum(1 for v in cached_flow.values() if v is not None)
-        if all(v is not None for v in cached_flow.values()) and cached_flow:
-            flow_findings: List[Violation] = [
-                v for found in cached_flow.values() for v in found
-            ]
-            phase2_ran = False
-        else:
-            flow_findings = self._run_flow_rules(model)
-            by_module: Dict[str, List[Violation]] = {
-                pp: [] for pp in model.modules
-            }
-            path_to_pp = {
-                s.data["path"]: pp for pp, s in model.modules.items()
-            }
-            for violation in flow_findings:
-                pp = path_to_pp.get(violation.path)
-                if pp is not None:
-                    by_module[pp].append(violation)
-            for pp, found in by_module.items():
-                cache.store_flow(pp, flow_keys[pp], found)
-            phase2_ran = True
-        violations.extend(flow_findings)
+        for path in files:
+            found, summary = self._analyze_file(path)
+            violations.extend(found)
+            if summary is not None:
+                summaries.append(summary)
+        violations.extend(self._run_flow_rules(ProjectModel(summaries)))
         violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-
-        cache.prune(r["package_path"] for r in results)
-        cache.save()
         stats = {
             "files": len(files),
-            "cache_hits": cache.hits,
-            "cache_misses": cache.misses,
-            "flow_reused": flow_reused,
-            "phase2_ran": phase2_ran,
-            "jobs": self.jobs,
             "wall_time_s": time.perf_counter() - start,
         }
         return AnalysisResult(violations=violations, stats=stats)

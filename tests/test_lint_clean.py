@@ -5,11 +5,9 @@ configuration) over ``src/repro`` exactly like
 ``python -m repro.lint src/repro`` would, and fails listing every
 diagnostic if anything regressed.  A companion test seeds a violation
 to prove the gate actually bites.  The whole-program gate additionally
-runs the flow rules (``--project --jobs 2``) and requires zero
-findings beyond the committed ``lint_baseline.json``.
+runs the flow rules (``--project``) and requires zero findings.
 """
 
-import json
 from pathlib import Path
 
 from repro.lint import ProjectAnalyzer, Linter, format_text, load_config, run_lint
@@ -17,7 +15,6 @@ from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "lint_baseline.json"
 
 
 def test_source_tree_is_lint_clean():
@@ -28,38 +25,16 @@ def test_source_tree_is_lint_clean():
 
 def test_whole_program_pass_is_clean():
     """The flow rules (rng-taint, shared-state-race,
-    ckpt-state-coverage, trace-discipline) hold on the shipped tree,
-    modulo the committed baseline, with the parallel per-file path."""
+    ckpt-state-coverage, trace-discipline) hold on the shipped tree."""
     config = load_config(REPO_ROOT)
-    result = ProjectAnalyzer(config=config, jobs=2).analyze([str(SRC)])
-    baseline = json.loads(BASELINE.read_text())
-    assert baseline["schema"] == "repro-lint-baseline/v1"
-    grandfathered = {
-        (f["rule"], f["message"]) for f in baseline["findings"]
-    }
-    fresh = [
-        v
-        for v in result.violations
-        if (v.rule, v.message) not in grandfathered
-    ]
-    assert fresh == [], "\n" + format_text(fresh)
+    result = ProjectAnalyzer(config=config).analyze([str(SRC)])
+    assert result.violations == [], "\n" + format_text(result.violations)
     assert result.stats["files"] > 0
-    assert result.stats["jobs"] == 2
 
 
 def test_whole_program_cli_gate_exits_zero(capsys):
-    code = main(
-        [
-            str(SRC),
-            "--project",
-            "--jobs",
-            "2",
-            "--baseline",
-            str(BASELINE),
-        ]
-    )
-    assert code == 0
-    assert "0 error(s)" in capsys.readouterr().out
+    assert main([str(SRC), "--project"]) == 0
+    assert "0 violation(s)" in capsys.readouterr().out
 
 
 def test_seeded_violation_is_caught(tmp_path, capsys):

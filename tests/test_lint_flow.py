@@ -475,16 +475,15 @@ def test_flow_findings_respect_line_suppressions(tmp_path):
 
 
 # -- real-tree mutations (the acceptance-criteria seeds) ---------------------
+#
+# The unmutated tree's cleanliness is asserted once, by
+# ``test_lint_clean.py::test_whole_program_pass_is_clean``.
 
 
 def _analyze_real(mutations):
     config = load_config(REPO_ROOT)
     analyzer = ProjectAnalyzer(config=config, file_sources=mutations)
     return analyzer.analyze([str(SRC)])
-
-
-def test_real_tree_is_clean():
-    assert _analyze_real({}).violations == []
 
 
 def test_mutated_trainer_attr_is_flagged():

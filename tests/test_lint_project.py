@@ -5,7 +5,6 @@ Synthetic modules are written under ``<tmp>/repro/`` so that
 extractor derives proper ``repro.*`` dotted module names.
 """
 
-import json
 from pathlib import Path
 
 from repro.lint.callgraph import (
@@ -15,7 +14,6 @@ from repro.lint.callgraph import (
 )
 from repro.lint.dataflow import compute_tainted_functions
 from repro.lint.project import (
-    ModuleSummary,
     ProjectAnalyzer,
     ProjectModel,
     extract_summary,
@@ -62,14 +60,6 @@ def test_module_name_for():
     assert module_name_for("fl/trainer.py") == "repro.fl.trainer"
     assert module_name_for("fl/__init__.py") == "repro.fl"
     assert module_name_for("__init__.py") == "repro"
-
-
-def test_summary_json_round_trip():
-    summary = extract_summary(RNG_UTIL, Path("/x/repro/util.py"))
-    payload = json.loads(json.dumps(summary.to_json()))
-    again = ModuleSummary.from_json(payload)
-    assert again.module == "repro.util"
-    assert again.data == summary.data
 
 
 def test_call_graph_direct_and_aliased_imports():
@@ -177,20 +167,6 @@ def test_rng_taint_fixpoint_through_returns():
     assert "repro.util.spawn_seed" not in tainted
 
 
-def test_reverse_import_closure():
-    model = _model(
-        {
-            "a.py": "X = 1\n",
-            "b.py": "from repro.a import X\nY = X\n",
-            "c.py": "from repro.b import Y\nZ = Y\n",
-            "d.py": "W = 2\n",
-        }
-    )
-    closure = model.reverse_import_closure(["a.py"])
-    assert closure == {"a.py", "b.py", "c.py"}
-    assert model.forward_closure("c.py") == {"a.py", "b.py", "c.py"}
-
-
 TREE = {
     "util.py": RNG_UTIL,
     "app.py": (
@@ -201,51 +177,6 @@ TREE = {
     ),
     "other.py": "def standalone():\n    return 7\n",
 }
-
-
-def test_cache_cold_then_warm(tmp_path):
-    root = _write_tree(tmp_path, TREE)
-    cache_path = tmp_path / "cache.json"
-    analyzer = ProjectAnalyzer(cache_path=cache_path)
-    cold = analyzer.analyze([str(root)])
-    assert cold.stats["cache_misses"] == len(TREE)
-    assert cold.stats["cache_hits"] == 0
-    assert cold.stats["phase2_ran"] is True
-    assert cache_path.exists()
-
-    warm = ProjectAnalyzer(cache_path=cache_path).analyze([str(root)])
-    assert warm.stats["cache_hits"] == len(TREE)
-    assert warm.stats["cache_misses"] == 0
-    assert warm.stats["flow_reused"] == len(TREE)
-    assert warm.stats["phase2_ran"] is False
-    assert warm.violations == cold.violations
-
-
-def test_cache_invalidates_edited_file_and_importers(tmp_path):
-    root = _write_tree(tmp_path, TREE)
-    cache_path = tmp_path / "cache.json"
-    ProjectAnalyzer(cache_path=cache_path).analyze([str(root)])
-
-    # Edit util.py: its summary and the flow findings of its importer
-    # (app.py) must be recomputed; other.py stays fully cached.
-    (root / "util.py").write_text(RNG_UTIL + "\nEXTRA = 1\n")
-    after = ProjectAnalyzer(cache_path=cache_path).analyze([str(root)])
-    assert after.stats["cache_misses"] == 1
-    assert after.stats["cache_hits"] == len(TREE) - 1
-    # util.py's flow key changed, and app.py imports util.py, so both
-    # dropped out of the flow cache; only other.py was reusable.
-    assert after.stats["flow_reused"] == 1
-    assert after.stats["phase2_ran"] is True
-
-
-def test_cache_ignores_corruption(tmp_path):
-    root = _write_tree(tmp_path, TREE)
-    cache_path = tmp_path / "cache.json"
-    cache_path.write_text("{not json")
-    result = ProjectAnalyzer(cache_path=cache_path).analyze([str(root)])
-    assert result.stats["cache_misses"] == len(TREE)
-    # ...and the corrupt file is replaced by a valid one.
-    json.loads(cache_path.read_text())
 
 
 def test_file_sources_override_injects_without_disk(tmp_path):
@@ -270,11 +201,3 @@ def test_syntax_error_file_is_reported_not_fatal(tmp_path):
     result = ProjectAnalyzer(rules=()).analyze([str(root)])
     assert [v.rule for v in result.violations] == ["syntax-error"]
     assert result.violations[0].path.endswith("broken.py")
-
-
-def test_jobs_parallel_matches_serial(tmp_path):
-    root = _write_tree(tmp_path, TREE)
-    serial = ProjectAnalyzer(jobs=1).analyze([str(root)])
-    parallel = ProjectAnalyzer(jobs=4).analyze([str(root)])
-    assert parallel.violations == serial.violations
-    assert parallel.stats["jobs"] == 4

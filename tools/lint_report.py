@@ -4,13 +4,12 @@
 Usage::
 
     PYTHONPATH=src python tools/lint_report.py [paths...] [-o report.json]
-    PYTHONPATH=src python tools/lint_report.py --cache /tmp/lint_cache.json
 
-The v2 payload runs the whole-program analyzer (per-file rules plus the
+The v3 payload runs the whole-program analyzer (per-file rules plus the
 flow rules) and records, per rule, how many diagnostics fired and in
-how many distinct files, plus the scanned-file count, the cache hit
-rate and the analysis wall time — a longitudinal signal for how clean
-the tree stays and how fast the analyzer keeps up as it grows.
+how many distinct files, plus the scanned-file count and the analysis
+wall time — a longitudinal signal for how clean the tree stays and how
+fast the analyzer keeps up as it grows.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ from repro.lint.reporting import summarize  # noqa: E402
 from repro.lint.rules import DEFAULT_RULES  # noqa: E402
 from repro.utils.atomic_io import atomic_write_text  # noqa: E402
 
-SCHEMA = "repro-lint-report/v2"
+SCHEMA = "repro-lint-report/v3"
 
 
-def build_report(paths: list[str], cache: Path | None, jobs: int) -> dict:
+def build_report(paths: list[str]) -> dict:
     config = load_config(REPO_ROOT)
-    analyzer = ProjectAnalyzer(config=config, cache_path=cache, jobs=jobs)
-    result = analyzer.analyze(paths)
+    result = ProjectAnalyzer(config=config).analyze(paths)
     violations = result.violations
     files_by_rule: dict[str, set] = defaultdict(set)
     for violation in violations:
@@ -71,25 +69,13 @@ def build_report(paths: list[str], cache: Path | None, jobs: int) -> dict:
         )
         for rule in PROJECT_RULES
     )
-    stats = result.stats
-    lookups = stats["cache_hits"] + stats["cache_misses"]
     return {
         "schema": SCHEMA,
         "paths": paths,
-        "files_scanned": stats["files"],
+        "files_scanned": result.stats["files"],
         "rules": rules,
         "summary": summarize(violations),
-        "analysis": {
-            "jobs": stats["jobs"],
-            "wall_time_s": stats["wall_time_s"],
-            "cache_hits": stats["cache_hits"],
-            "cache_misses": stats["cache_misses"],
-            "cache_hit_rate": (
-                stats["cache_hits"] / lookups if lookups else 0.0
-            ),
-            "flow_reused": stats["flow_reused"],
-            "phase2_ran": stats["phase2_ran"],
-        },
+        "analysis": {"wall_time_s": result.stats["wall_time_s"]},
     }
 
 
@@ -102,16 +88,8 @@ def main(argv: list[str] | None = None) -> int:
         "-o", "--output", type=Path, default=None,
         help="write the JSON here instead of stdout",
     )
-    parser.add_argument(
-        "--cache", type=Path, default=None,
-        help="incremental analysis cache (reported in the hit rate)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="parallel workers for the per-file phase (default: 2)",
-    )
     args = parser.parse_args(argv)
-    report = build_report(list(args.paths), args.cache, args.jobs)
+    report = build_report(list(args.paths))
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         atomic_write_text(args.output, text + "\n")
