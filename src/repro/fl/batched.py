@@ -6,7 +6,7 @@ in numpy dispatch on small operands.  :class:`BatchedWorkspace` stacks
 C same-schedule clients into one leading client axis — stacked flat
 parameters ``(C, n_params)``, one ``(C, batch, ...)`` minibatch tensor
 per step — so a cohort's round runs as a handful of large kernels
-(stacked GEMMs, batched im2col/einsum) instead of ``C`` small ones.
+(stacked GEMMs, batched im2col) instead of ``C`` small ones.
 
 Determinism contract (what keeps history digests bitwise-identical to
 the serial backend):
@@ -45,6 +45,7 @@ from repro.fl.workspace import ModelWorkspace
 from repro.nn.losses import BatchedLoss
 from repro.nn.module import BatchedModule, BatchedParamBinder, BatchedUnsupported
 from repro.nn.optimizers import SGD
+from repro.nn.parameter import Parameter
 
 __all__ = ["BatchedWorkspace"]
 
@@ -55,9 +56,10 @@ class BatchedWorkspace:
     Built from the trainer's (serial) workspace: the model's batched
     counterpart reads and writes strided views into one
     ``(C, n_params)`` parameter/gradient pair, the loss returns a
-    ``(C,)`` per-client vector, and the optimizer step is the fused
-    elementwise SGD update applied to the whole stack at once.  Only
-    plain :class:`~repro.nn.optimizers.SGD` has that fused form;
+    ``(C,)`` per-client vector, and the optimizer step is
+    :meth:`SGD.step <repro.nn.optimizers.SGD.step>` over that pair,
+    applied to the whole stack at once.  Only plain
+    :class:`~repro.nn.optimizers.SGD` has that fused form;
     stateful optimizers (Momentum, Adam) raise
     :class:`~repro.nn.module.BatchedUnsupported` so cohorts fall back
     to the per-client path.
@@ -78,7 +80,12 @@ class BatchedWorkspace:
         self._model: BatchedModule = workspace.model.batched(self._binder)
         self._binder.finish()
         self._loss: BatchedLoss = workspace.loss.batched()
-        self._weight_decay = optimizer.weight_decay
+        # One parameter whose data and grad are the binder's stacks: the
+        # SGD update is elementwise, so stepping the whole stack is
+        # bitwise the serial per-parameter loop on every client row.
+        stack = Parameter(self._binder.data, name="stack")
+        stack.grad = self._binder.grad
+        self._optimizer = SGD([stack], optimizer.lr, optimizer.weight_decay)
 
     @property
     def params(self) -> np.ndarray:
@@ -106,18 +113,13 @@ class BatchedWorkspace:
 
         Mirrors ``ModelWorkspace.train_step`` slice by slice: zero the
         gradients, forward, loss, backward, SGD update — with every
-        reduction kept inside its client row.  The fused update
-        ``params -= lr * grads`` is elementwise, hence bitwise equal to
-        the serial per-parameter loop.
+        reduction kept inside its client row.
         """
         self._binder.grad[...] = 0.0
         out = self._model.forward(x, training=True)
         loss_values = self._loss.forward(out, y)
         self._model.head_backward(self._loss.backward())
-        grads = self._binder.grad
-        if self._weight_decay:
-            grads = grads + self._weight_decay * self._binder.data
-        self._binder.data -= lr * grads
+        self._optimizer.step(lr=lr)
         return loss_values
 
     def extract_updates(self, global_params: np.ndarray) -> np.ndarray:

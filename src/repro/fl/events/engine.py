@@ -79,6 +79,15 @@ class _InflightRound:
     dropped: Set[int] = field(default_factory=set)
 
 
+def _check_staleness_bound(state: Dict[str, Any], config: AsyncConfig) -> None:
+    if int(state["staleness_bound"]) != config.staleness_bound:
+        raise ValueError(
+            f"checkpoint was taken with staleness_bound="
+            f"{state['staleness_bound']}, this engine is configured "
+            f"with {config.staleness_bound}"
+        )
+
+
 class AsyncFederatedTrainer:
     """Event-driven federation over a wrapped synchronous trainer.
 
@@ -405,12 +414,7 @@ class AsyncFederatedTrainer:
         self, state: Dict[str, Any], arrays: Dict[str, np.ndarray]
     ) -> None:
         """Apply an :meth:`export_state` snapshot to this engine."""
-        if int(state["staleness_bound"]) != self.async_config.staleness_bound:
-            raise ValueError(
-                f"checkpoint was taken with staleness_bound="
-                f"{state['staleness_bound']}, this engine is configured "
-                f"with {self.async_config.staleness_bound}"
-            )
+        _check_staleness_bound(state, self.async_config)
         self.clock.load_state_dict(state["clock"])
         self.queue.load_state_dict(state["queue"])
         self.closes_done = int(state["closes_done"])
@@ -479,8 +483,6 @@ class AsyncFederatedTrainer:
         """
         from repro.ckpt import read_checkpoint
 
-        trainer = FederatedTrainer.restore(path, **parts)
-        engine = cls(trainer, async_config=async_config)
         ckpt = read_checkpoint(path)
         async_state = ckpt.manifest.get("async")
         if async_state is None:
@@ -488,6 +490,12 @@ class AsyncFederatedTrainer:
                 f"checkpoint {path} carries no async-engine state; "
                 "was it written by a synchronous run?"
             )
+        # Reject before building: the build resumes (truncates) the trace.
+        _check_staleness_bound(
+            async_state, async_config if async_config is not None else AsyncConfig()
+        )
+        trainer = FederatedTrainer._restore_from(ckpt, **parts)
+        engine = cls(trainer, async_config=async_config)
         engine.restore_state(async_state, ckpt.arrays)
         return engine
 

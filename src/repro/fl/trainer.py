@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -546,22 +546,32 @@ class FederatedTrainer:
         iteration ``checkpoint.iteration + 1`` and behaves bit-for-bit
         like the uninterrupted run's.
         """
-        from repro.ckpt import apply_run_state, build_resume_tracer, read_checkpoint
+        from repro.ckpt import read_checkpoint
 
-        ckpt = read_checkpoint(path)
-        tracer = build_resume_tracer(ckpt.manifest.get("trace"), config)
-        trainer = cls(
-            workspace,
-            clients,
-            policy,
-            config,
-            eval_fn=eval_fn,
-            feedback_staleness=feedback_staleness,
-            sampler=sampler,
-            executor=executor,
-            workspace_spec=workspace_spec,
-            tracer=tracer,
+        return cls._restore_from(
+            read_checkpoint(path), workspace, clients, policy, config,
+            eval_fn=eval_fn, feedback_staleness=feedback_staleness,
+            sampler=sampler, executor=executor, workspace_spec=workspace_spec,
         )
+
+    @classmethod
+    def _restore_from(
+        cls,
+        ckpt: Any,
+        workspace: ModelWorkspace,
+        clients: Union[Sequence[FLClient], ClientStateStore],
+        policy: UploadPolicy,
+        config: FLConfig,
+        **options: Any,
+    ) -> "FederatedTrainer":
+        """The build behind :meth:`restore`, from a checkpoint already
+        read and verified (``options`` are the optional constructor
+        kwargs).  Building resumes the trace: with a ``trace_path`` the
+        file is truncated to the checkpoint and reopened for append."""
+        from repro.ckpt import apply_run_state, build_resume_tracer
+
+        tracer = build_resume_tracer(ckpt.manifest.get("trace"), config)
+        trainer = cls(workspace, clients, policy, config, tracer=tracer, **options)
         if tracer is not None:
             # restore() built this tracer from the config knobs, same
             # as __init__ would have; close() owns it.
@@ -572,7 +582,7 @@ class FederatedTrainer:
         trainer.executor.bind(
             workspace,
             trainer.clients,
-            spec=workspace_spec,
+            spec=options.get("workspace_spec"),
             tracer=trainer.tracer,
         )
         if trainer.tracer.enabled:

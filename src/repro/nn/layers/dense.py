@@ -14,6 +14,30 @@ from repro.utils.rng import RngLike
 __all__ = ["BatchedDense", "Dense"]
 
 
+def _dense_forward(x, w, b):
+    """``x @ w + b`` over any leading axes; ``b`` (or None) broadcasts
+    against the output.  Each leading slice runs the plain layer's GEMM
+    on the plain operand shapes and strides, hence bitwise per slice."""
+    out = x @ w
+    if b is not None:
+        out = out + b
+    return out
+
+
+def _dense_backward(x, grad_output, w, dw, db, head=False):
+    """Accumulate dW (and db, unless None) in place, then return the
+    input gradient (None as the network head).  The bias gradient
+    reduces over the batch axis (-2) of each leading slice only."""
+    if x is None:
+        raise RuntimeError("backward called before forward")
+    dw += x.swapaxes(-1, -2) @ grad_output
+    if db is not None:
+        db += grad_output.sum(axis=-2)
+    if head:
+        return None  # input gradient elided (see Module.head_backward)
+    return grad_output @ w.swapaxes(-1, -2)
+
+
 class Dense(Module):
     """Affine map ``y = x @ W + b`` over the last axis.
 
@@ -54,53 +78,36 @@ class Dense(Module):
                 f"expected input (batch, {self.in_features}), got {x.shape}"
             )
         self._x = x
-        out = x @ self.weight.data
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
+        b = None if self.bias is None else self.bias.data
+        return _dense_forward(x, self.weight.data, b)
+
+    def _backward(self, grad_output: np.ndarray, head: bool) -> np.ndarray | None:
+        db = None if self.bias is None else self.bias.grad
+        return _dense_backward(
+            self._x, grad_output, self.weight.data, self.weight.grad, db, head
+        )
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.grad += self._x.T @ grad_output
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.data.T
+        return self._backward(grad_output, head=False)
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.grad += self._x.T @ grad_output
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
-        return None  # input gradient elided (see Module.head_backward)
+        return self._backward(grad_output, head=True)
 
     def batched(self, binder: BatchedParamBinder) -> "BatchedDense":
         return BatchedDense(self, binder)
 
 
 class BatchedDense(BatchedModule):
-    """Leading-client-axis counterpart of :class:`Dense`.
-
-    Takes ``(clients, batch, in)`` inputs against stacked weight views
-    ``(clients, in, out)``.  Every per-client slice of the stacked
-    operands has exactly the shape and strides of the serial operands,
-    so the 3-D ``matmul`` dispatches the identical per-slice GEMM and
-    each client's output/gradients are bitwise equal to the serial
-    layer run on that client's slice; the bias-gradient ``sum(axis=1)``
-    accumulates over the batch axis in the same element order as the
-    serial ``sum(axis=0)``.
-    """
+    """:class:`Dense` over ``(clients, batch, in)`` inputs, with each
+    client's weights a row of the binder's stacked views."""
 
     def __init__(self, layer: Dense, binder: BatchedParamBinder) -> None:
         self.in_features = layer.in_features
-        self.out_features = layer.out_features
-        self._w, self._dw = binder.bind(layer.weight)
+        self._w, self._dw = binder.bind(layer.weight)  # (C, in, out)
+        self._b = self._db = None
         if layer.bias is not None:
-            self._b, self._db = binder.bind(layer.bias)
-        else:
-            self._b = None
-            self._db = None
+            b, self._db = binder.bind(layer.bias)  # (C, out)
+            self._b = b[:, None, :]  # broadcasts over each client's batch
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -111,23 +118,12 @@ class BatchedDense(BatchedModule):
                 f"got {x.shape}"
             )
         self._x = x
-        out = x @ self._w
-        if self._b is not None:
-            out = out + self._b[:, None, :]
-        return out
+        return _dense_forward(x, self._w, self._b)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self._dw += self._x.transpose(0, 2, 1) @ grad_output
-        if self._db is not None:
-            self._db += grad_output.sum(axis=1)
-        return grad_output @ self._w.transpose(0, 2, 1)
+        return _dense_backward(self._x, grad_output, self._w, self._dw, self._db)
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self._dw += self._x.transpose(0, 2, 1) @ grad_output
-        if self._db is not None:
-            self._db += grad_output.sum(axis=1)
-        return None  # input gradient elided (see Module.head_backward)
+        return _dense_backward(
+            self._x, grad_output, self._w, self._dw, self._db, head=True
+        )

@@ -43,15 +43,14 @@ class Dropout(Module):
 
 
 class BatchedDropout(BatchedModule):
-    """Leading-client-axis counterpart of :class:`Dropout`.
+    """:class:`Dropout` with one stacked ``(C, ...)`` mask per step,
+    drawn from the plain layer's own stream.
 
-    Draws one stacked mask per step from the serial layer's own stream.
-    Dropout already places a model outside the cross-backend bitwise
-    contract — process replicas each own an independent copy of the
-    layer stream — and the batched path is no different: the single
-    ``(C, ...)`` draw consumes the stream in a different order than C
-    serial per-client passes would.  Inference is the exact identity on
-    every backend.
+    That single draw consumes the stream in a different order than C
+    per-client passes would, so the mask code stays separate from the
+    plain layer's.  Dropout is outside the cross-backend bitwise
+    contract anyway (process replicas each own a copy of the stream);
+    inference is the exact identity on every backend.
     """
 
     def __init__(self, layer: Dropout) -> None:

@@ -46,18 +46,19 @@ class Embedding(Module):
         self._ids = ids
         return self.weight.data[ids]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _param_grads(self, grad_output: np.ndarray) -> None:
         if self._ids is None:
             raise RuntimeError("backward called before forward")
         np.add.at(self.weight.grad, self._ids, grad_output)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self._param_grads(grad_output)
         # Token ids are not differentiable; return a zero placeholder of
         # the input's shape for API uniformity.
         return np.zeros(self._ids.shape, dtype=float)
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        if self._ids is None:
-            raise RuntimeError("backward called before forward")
-        np.add.at(self.weight.grad, self._ids, grad_output)
+        self._param_grads(grad_output)
         return None  # zero placeholder elided (see Module.head_backward)
 
     def batched(self, binder: BatchedParamBinder) -> "BatchedEmbedding":
@@ -65,19 +66,18 @@ class Embedding(Module):
 
 
 class BatchedEmbedding(BatchedModule):
-    """Leading-client-axis counterpart of :class:`Embedding`.
+    """:class:`Embedding` over ``(clients, ...)`` token ids, each client
+    gathering from its own row of the stacked ``(C, vocab, dim)`` table.
 
-    Gathers each client's token vectors from its own table row of the
-    stacked ``(C, vocab, dim)`` weight view; the scatter-add in
-    ``backward`` pairs a broadcast client index with the token ids, so
-    ``np.add.at`` iterates the ids in flat C order — per client the
-    identical in-order accumulation the serial layer performs, and
+    The gather and scatter pair a broadcast client index with the ids
+    (a second index the plain layer does not have), so they stay
+    separate from the plain layer's.  ``np.add.at`` iterates the ids in
+    flat C order: per client the plain layer's in-order accumulation,
     never across clients (distinct tables).
     """
 
     def __init__(self, layer: Embedding, binder: BatchedParamBinder) -> None:
         self.vocab_size = layer.vocab_size
-        self.embedding_dim = layer.embedding_dim
         self._w, self._dw = binder.bind(layer.weight)  # (C, vocab, dim)
         self._ids: np.ndarray | None = None
 
@@ -99,18 +99,17 @@ class BatchedEmbedding(BatchedModule):
         self._ids = ids
         return self._w[self._client_index(ids), ids]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _param_grads(self, grad_output: np.ndarray) -> None:
         if self._ids is None:
             raise RuntimeError("backward called before forward")
         ids = self._ids
         c_idx = np.broadcast_to(self._client_index(ids), ids.shape)
         np.add.at(self._dw, (c_idx, ids), grad_output)
-        return np.zeros(ids.shape, dtype=float)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self._param_grads(grad_output)
+        return np.zeros(self._ids.shape, dtype=float)
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        if self._ids is None:
-            raise RuntimeError("backward called before forward")
-        ids = self._ids
-        c_idx = np.broadcast_to(self._client_index(ids), ids.shape)
-        np.add.at(self._dw, (c_idx, ids), grad_output)
+        self._param_grads(grad_output)
         return None  # zero placeholder elided (see Module.head_backward)

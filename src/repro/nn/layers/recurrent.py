@@ -15,6 +15,97 @@ from repro.utils.rng import RngLike, child_rngs
 __all__ = ["BatchedLSTM", "LSTM"]
 
 
+def _lstm_forward(x, w_x, w_h, bias, return_sequences):
+    """LSTM over ``x`` of shape ``(..., batch, time, features)``.
+
+    Any leading axes (the batched layer's client axis) ride along: each
+    leading slice of the operands has the plain layer's shapes and
+    strides, so every matmul runs the same per-slice GEMM and the
+    result is bitwise the plain layer's per slice.  ``bias`` must
+    broadcast against ``(..., batch, 4 * hidden)``.  Returns the output
+    and the cache :func:`_lstm_backward` needs.
+    """
+    t = x.shape[-2]
+    lead = x.shape[:-2]
+    h = w_h.shape[-2]
+    hs = np.zeros((t + 1,) + lead + (h,), dtype=float)
+    cs = np.zeros((t + 1,) + lead + (h,), dtype=float)
+    gates = np.zeros((t,) + lead + (4 * h,), dtype=float)
+    for step in range(t):
+        z = x[..., step, :] @ w_x + hs[step] @ w_h + bias
+        i = sigmoid(z[..., :h])
+        f = sigmoid(z[..., h : 2 * h])
+        g = np.tanh(z[..., 2 * h : 3 * h])
+        o = sigmoid(z[..., 3 * h :])
+        cs[step + 1] = f * cs[step] + i * g
+        hs[step + 1] = o * np.tanh(cs[step + 1])
+        gates[step] = np.concatenate([i, f, g, o], axis=-1)
+    cache = {"x": x, "hs": hs, "cs": cs, "gates": gates}
+    if return_sequences:
+        return np.moveaxis(hs[1:], 0, -2), cache
+    return hs[-1].copy(), cache
+
+
+def _lstm_backward(grad_output, cache, w_x, w_h, dw_x, dw_h, db, return_sequences):
+    """Backpropagation through time for :func:`_lstm_forward`.
+
+    Accumulates into ``dw_x``/``dw_h``/``db`` in place and returns the
+    input gradient; the bias gradient reduces over the batch axis only.
+    """
+    if cache is None:
+        raise RuntimeError("backward called before forward")
+    x = cache["x"]
+    hs = cache["hs"]
+    cs = cache["cs"]
+    gates = cache["gates"]
+    t = x.shape[-2]
+    lead = x.shape[:-2]
+    h = w_h.shape[-2]
+
+    if return_sequences:
+        expected = lead + (t, h)
+    else:
+        expected = lead + (h,)
+    if grad_output.shape != expected:
+        raise ValueError(
+            f"expected gradient shape {expected}, got {grad_output.shape}"
+        )
+    if return_sequences:
+        grad_h_seq = np.moveaxis(grad_output, -2, 0)
+    else:
+        grad_h_seq = np.zeros((t,) + lead + (h,), dtype=float)
+        grad_h_seq[-1] = grad_output
+
+    dx = np.zeros_like(x)
+    dh_next = np.zeros(lead + (h,), dtype=float)
+    dc_next = np.zeros(lead + (h,), dtype=float)
+    for step in range(t - 1, -1, -1):
+        i = gates[step][..., :h]
+        f = gates[step][..., h : 2 * h]
+        g = gates[step][..., 2 * h : 3 * h]
+        o = gates[step][..., 3 * h :]
+        c = cs[step + 1]
+        tanh_c = np.tanh(c)
+
+        dh = grad_h_seq[step] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+
+        di = dc * g * i * (1.0 - i)
+        df = dc * cs[step] * f * (1.0 - f)
+        dg = dc * i * (1.0 - g**2)
+        do = dh * tanh_c * o * (1.0 - o)
+        dz = np.concatenate([di, df, dg, do], axis=-1)
+
+        dw_x += x[..., step, :].swapaxes(-1, -2) @ dz
+        dw_h += hs[step].swapaxes(-1, -2) @ dz
+        db += dz.sum(axis=-2)
+
+        dx[..., step, :] = dz @ w_x.swapaxes(-1, -2)
+        dh_next = dz @ w_h.swapaxes(-1, -2)
+        dc_next = dc * f
+    return dx
+
+
 class LSTM(Module):
     """A single LSTM layer over ``(batch, time, features)`` inputs.
 
@@ -61,103 +152,32 @@ class LSTM(Module):
             raise ValueError(
                 f"expected input (batch, time, {self.input_size}), got {x.shape}"
             )
-        n, t, _ = x.shape
-        h = self.hidden_size
-        hs = np.zeros((t + 1, n, h), dtype=float)
-        cs = np.zeros((t + 1, n, h), dtype=float)
-        gates = np.zeros((t, n, 4 * h), dtype=float)
-        for step in range(t):
-            z = x[:, step, :] @ self.w_x.data + hs[step] @ self.w_h.data + self.bias.data
-            i = sigmoid(z[:, :h])
-            f = sigmoid(z[:, h : 2 * h])
-            g = np.tanh(z[:, 2 * h : 3 * h])
-            o = sigmoid(z[:, 3 * h :])
-            cs[step + 1] = f * cs[step] + i * g
-            hs[step + 1] = o * np.tanh(cs[step + 1])
-            gates[step] = np.concatenate([i, f, g, o], axis=1)
-        self._cache = {"x": x, "hs": hs, "cs": cs, "gates": gates}
-        if self.return_sequences:
-            return hs[1:].transpose(1, 0, 2)
-        return hs[-1].copy()
+        out, self._cache = _lstm_forward(
+            x, self.w_x.data, self.w_h.data, self.bias.data, self.return_sequences
+        )
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x = self._cache["x"]
-        hs = self._cache["hs"]
-        cs = self._cache["cs"]
-        gates = self._cache["gates"]
-        n, t, _ = x.shape
-        h = self.hidden_size
-
-        if self.return_sequences:
-            if grad_output.shape != (n, t, h):
-                raise ValueError(
-                    f"expected gradient shape {(n, t, h)}, got {grad_output.shape}"
-                )
-            grad_h_seq = grad_output.transpose(1, 0, 2)
-        else:
-            if grad_output.shape != (n, h):
-                raise ValueError(
-                    f"expected gradient shape {(n, h)}, got {grad_output.shape}"
-                )
-            grad_h_seq = np.zeros((t, n, h), dtype=float)
-            grad_h_seq[-1] = grad_output
-
-        dx = np.zeros_like(x)
-        dh_next = np.zeros((n, h), dtype=float)
-        dc_next = np.zeros((n, h), dtype=float)
-        for step in range(t - 1, -1, -1):
-            i = gates[step][:, :h]
-            f = gates[step][:, h : 2 * h]
-            g = gates[step][:, 2 * h : 3 * h]
-            o = gates[step][:, 3 * h :]
-            c = cs[step + 1]
-            tanh_c = np.tanh(c)
-
-            dh = grad_h_seq[step] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c**2)
-
-            di = dc * g * i * (1.0 - i)
-            df = dc * cs[step] * f * (1.0 - f)
-            dg = dc * i * (1.0 - g**2)
-            do = dh * tanh_c * o * (1.0 - o)
-            dz = np.concatenate([di, df, dg, do], axis=1)
-
-            self.w_x.grad += x[:, step, :].T @ dz
-            self.w_h.grad += hs[step].T @ dz
-            self.bias.grad += dz.sum(axis=0)
-
-            dx[:, step, :] = dz @ self.w_x.data.T
-            dh_next = dz @ self.w_h.data.T
-            dc_next = dc * f
-        return dx
+        return _lstm_backward(
+            grad_output, self._cache, self.w_x.data, self.w_h.data,
+            self.w_x.grad, self.w_h.grad, self.bias.grad, self.return_sequences,
+        )
 
     def batched(self, binder: BatchedParamBinder) -> "BatchedLSTM":
         return BatchedLSTM(self, binder)
 
 
 class BatchedLSTM(BatchedModule):
-    """Leading-client-axis counterpart of :class:`LSTM`.
-
-    Inputs are ``(clients, batch, time, features)``.  The recurrence is
-    still stepped serially over time (it is inherently sequential), but
-    each step's four matmuls run once over the whole client stack
-    instead of once per client.  Per-client operand slices keep the
-    serial shapes and strides — including the strided
-    ``x[:, :, step, :]`` time slice, whose per-client layout matches
-    the serial ``x[:, step, :]`` — so every gate, state and gradient is
-    bitwise equal to the serial layer per client; the bias gradient
-    reduces with ``sum(axis=1)``, never across clients.
-    """
+    """:class:`LSTM` over ``(clients, batch, time, features)`` inputs,
+    with each client's weights a row of the binder's stacked views."""
 
     def __init__(self, layer: LSTM, binder: BatchedParamBinder) -> None:
         self.input_size = layer.input_size
-        self.hidden_size = layer.hidden_size
         self.return_sequences = layer.return_sequences
         self._w_x, self._dw_x = binder.bind(layer.w_x)  # (C, in, 4h)
         self._w_h, self._dw_h = binder.bind(layer.w_h)  # (C, h, 4h)
-        self._b, self._db = binder.bind(layer.bias)  # (C, 4h)
+        b, self._db = binder.bind(layer.bias)  # (C, 4h)
+        self._b = b[:, None, :]  # broadcasts over each client's batch
         self._cache: dict | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -167,77 +187,13 @@ class BatchedLSTM(BatchedModule):
                 "expected input (clients, batch, time, "
                 f"{self.input_size}), got {x.shape}"
             )
-        c, n, t, _ = x.shape
-        h = self.hidden_size
-        hs = np.zeros((t + 1, c, n, h), dtype=float)
-        cs = np.zeros((t + 1, c, n, h), dtype=float)
-        gates = np.zeros((t, c, n, 4 * h), dtype=float)
-        bias = self._b[:, None, :]
-        for step in range(t):
-            z = x[:, :, step, :] @ self._w_x + hs[step] @ self._w_h + bias
-            i = sigmoid(z[:, :, :h])
-            f = sigmoid(z[:, :, h : 2 * h])
-            g = np.tanh(z[:, :, 2 * h : 3 * h])
-            o = sigmoid(z[:, :, 3 * h :])
-            cs[step + 1] = f * cs[step] + i * g
-            hs[step + 1] = o * np.tanh(cs[step + 1])
-            gates[step] = np.concatenate([i, f, g, o], axis=2)
-        self._cache = {"x": x, "hs": hs, "cs": cs, "gates": gates}
-        if self.return_sequences:
-            return hs[1:].transpose(1, 2, 0, 3)
-        return hs[-1].copy()
+        out, self._cache = _lstm_forward(
+            x, self._w_x, self._w_h, self._b, self.return_sequences
+        )
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x = self._cache["x"]
-        hs = self._cache["hs"]
-        cs = self._cache["cs"]
-        gates = self._cache["gates"]
-        c, n, t, _ = x.shape
-        h = self.hidden_size
-
-        if self.return_sequences:
-            if grad_output.shape != (c, n, t, h):
-                raise ValueError(
-                    f"expected gradient shape {(c, n, t, h)}, got "
-                    f"{grad_output.shape}"
-                )
-            grad_h_seq = grad_output.transpose(2, 0, 1, 3)
-        else:
-            if grad_output.shape != (c, n, h):
-                raise ValueError(
-                    f"expected gradient shape {(c, n, h)}, got "
-                    f"{grad_output.shape}"
-                )
-            grad_h_seq = np.zeros((t, c, n, h), dtype=float)
-            grad_h_seq[-1] = grad_output
-
-        dx = np.zeros_like(x)
-        dh_next = np.zeros((c, n, h), dtype=float)
-        dc_next = np.zeros((c, n, h), dtype=float)
-        for step in range(t - 1, -1, -1):
-            i = gates[step][:, :, :h]
-            f = gates[step][:, :, h : 2 * h]
-            g = gates[step][:, :, 2 * h : 3 * h]
-            o = gates[step][:, :, 3 * h :]
-            cell = cs[step + 1]
-            tanh_c = np.tanh(cell)
-
-            dh = grad_h_seq[step] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c**2)
-
-            di = dc * g * i * (1.0 - i)
-            df = dc * cs[step] * f * (1.0 - f)
-            dg = dc * i * (1.0 - g**2)
-            do = dh * tanh_c * o * (1.0 - o)
-            dz = np.concatenate([di, df, dg, do], axis=2)
-
-            self._dw_x += x[:, :, step, :].transpose(0, 2, 1) @ dz
-            self._dw_h += hs[step].transpose(0, 2, 1) @ dz
-            self._db += dz.sum(axis=1)
-
-            dx[:, :, step, :] = dz @ self._w_x.transpose(0, 2, 1)
-            dh_next = dz @ self._w_h.transpose(0, 2, 1)
-            dc_next = dc * f
-        return dx
+        return _lstm_backward(
+            grad_output, self._cache, self._w_x, self._w_h,
+            self._dw_x, self._dw_h, self._db, self.return_sequences,
+        )

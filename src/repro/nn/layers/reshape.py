@@ -33,8 +33,8 @@ class Flatten(Module):
 
 
 class BatchedFlatten(BatchedModule):
-    """Counterpart of :class:`Flatten` keeping the leading client axis:
-    ``(C, N, ...) -> (C, N, prod(...))`` — pure data movement."""
+    """:class:`Flatten` keeping the leading client axis:
+    ``(C, N, ...) -> (C, N, prod(...))``."""
 
     def __init__(self) -> None:
         self._in_shape: Tuple[int, ...] | None = None
@@ -78,9 +78,8 @@ class LastStep(Module):
 
 
 class BatchedLastStep(BatchedModule):
-    """Counterpart of :class:`LastStep` keeping the leading client axis:
-    selects ``x[:, :, -1, :]`` of a ``(C, batch, time, features)``
-    sequence — pure data movement."""
+    """:class:`LastStep` keeping the leading client axis:
+    ``(C, batch, time, features) -> (C, batch, features)``."""
 
     def __init__(self) -> None:
         self._in_shape: Tuple[int, ...] | None = None

@@ -4,9 +4,17 @@ Each loss exposes ``forward(predictions, targets) -> float`` (mean loss
 over the batch) and ``backward() -> grad`` w.r.t. the predictions.  The
 softmax/sigmoid are fused into the cross-entropy losses so the gradient
 is the plain ``probabilities - onehot`` form.
+
+Each loss's arithmetic is one kernel pair that reduces over the last
+axis and lets any leading axes ride along; the batched counterparts
+call it with a leading client axis and get a ``(clients,)`` vector,
+the plain losses call it with none and return its value as a float.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Any
 
 import numpy as np
 
@@ -25,8 +33,79 @@ __all__ = [
 ]
 
 
+def _softmax_ce(predictions, targets):
+    """Mean cross-entropy over the last axis of ``targets`` (the batch),
+    and the cache :func:`_softmax_ce_grad` needs."""
+    targets = np.asarray(targets)
+    if targets.shape != predictions.shape[:-1]:
+        raise ValueError(
+            f"targets shape {targets.shape} does not match batch "
+            f"{predictions.shape[:-1]}"
+        )
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise TypeError("SoftmaxCrossEntropy expects integer class targets")
+    probs = softmax(predictions, axis=-1)
+    # Open-mesh row indices plus the targets pick each row's class.
+    pick = np.indices(targets.shape, sparse=True) + (targets,)
+    loss = -np.mean(np.log(np.clip(probs[pick], 1e-12, None)), axis=-1)
+    return loss, (probs, pick)
+
+
+def _softmax_ce_grad(cache):
+    if cache is None:
+        raise RuntimeError("backward called before forward")
+    probs, pick = cache
+    grad = probs.copy()
+    grad[pick] -= 1.0
+    targets = pick[-1]
+    return grad / targets.shape[-1]
+
+
+def _sigmoid_bce(predictions, targets, lead):
+    """Mean binary cross-entropy over all but the first ``lead`` axes."""
+    logits = predictions.reshape(predictions.shape[:lead] + (-1,))
+    targets = np.asarray(targets, dtype=float).reshape(logits.shape[:lead] + (-1,))
+    if logits.shape != targets.shape:
+        raise ValueError(
+            f"predictions {predictions.shape} and targets do not align"
+        )
+    # log(1 + exp(-|z|)) + max(z, 0) - z*y  is the stable BCE form.
+    loss = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
+    loss -= logits * targets
+    probs = sigmoid(logits)
+    return np.mean(loss, axis=-1), (probs, targets, predictions.shape)
+
+
+def _sigmoid_bce_grad(cache):
+    if cache is None:
+        raise RuntimeError("backward called before forward")
+    probs, targets, shape = cache
+    grad = (probs - targets) / targets.shape[-1]
+    return grad.reshape(shape)
+
+
+def _mse(predictions, targets, lead):
+    """Mean squared difference over all but the first ``lead`` axes."""
+    targets = np.asarray(targets, dtype=float)
+    if predictions.shape != targets.shape:
+        raise ValueError(
+            f"shape mismatch: {predictions.shape} vs {targets.shape}"
+        )
+    diff = predictions - targets
+    sq = diff**2
+    return np.mean(sq.reshape(sq.shape[:lead] + (-1,)), axis=-1), diff
+
+
+def _mse_grad(diff, lead):
+    if diff is None:
+        raise RuntimeError("backward called before forward")
+    return 2.0 * diff / math.prod(diff.shape[lead:])
+
+
 class Loss:
     """Base class: call ``forward`` then ``backward`` once per step."""
+
+    _cache: Any = None  # what forward leaves for backward
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         raise NotImplementedError
@@ -53,13 +132,12 @@ class BatchedLoss:
     """Per-client loss over stacked predictions.
 
     ``forward`` takes ``(clients, batch, ...)`` predictions/targets and
-    returns a ``(clients,)`` float64 vector whose every entry is
-    bitwise equal to the serial loss on that client's slice — each
-    client's mean reduces over its own contiguous row, never across the
-    client axis.  ``backward`` returns the stacked prediction gradient,
-    scaled per client by that client's element count exactly as the
-    serial loss scales by ``targets.size``.
+    returns a ``(clients,)`` float64 vector; ``backward`` returns the
+    stacked prediction gradient.  Both run the plain loss's kernel, so
+    every entry is bitwise the plain loss on that client's slice.
     """
+
+    _cache: Any = None  # what forward leaves for backward
 
     def forward(
         self, predictions: np.ndarray, targets: np.ndarray
@@ -82,77 +160,35 @@ class SoftmaxCrossEntropy(Loss):
     ``targets``: integer labels ``(batch,)``.
     """
 
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets)
         if predictions.ndim != 2:
             raise ValueError(f"expected 2-D logits, got shape {predictions.shape}")
-        if targets.shape != (predictions.shape[0],):
-            raise ValueError(
-                f"targets shape {targets.shape} does not match batch "
-                f"{predictions.shape[0]}"
-            )
-        if not np.issubdtype(targets.dtype, np.integer):
-            raise TypeError("SoftmaxCrossEntropy expects integer class targets")
-        self._probs = softmax(predictions, axis=1)
-        self._targets = targets
-        picked = self._probs[np.arange(targets.size), targets]
-        return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
+        loss, self._cache = _softmax_ce(predictions, targets)
+        return float(loss)
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._targets is None:
-            raise RuntimeError("backward called before forward")
-        grad = self._probs.copy()
-        grad[np.arange(self._targets.size), self._targets] -= 1.0
-        return grad / self._targets.size
+        return _softmax_ce_grad(self._cache)
 
     def batched(self) -> "BatchedSoftmaxCrossEntropy":
         return BatchedSoftmaxCrossEntropy()
 
 
 class BatchedSoftmaxCrossEntropy(BatchedLoss):
-    """Counterpart of :class:`SoftmaxCrossEntropy` over ``(C, batch,
-    classes)`` logits and ``(C, batch)`` integer targets."""
-
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
+    """:class:`SoftmaxCrossEntropy` over ``(C, batch, classes)`` logits
+    and ``(C, batch)`` integer targets."""
 
     def forward(
         self, predictions: np.ndarray, targets: np.ndarray
     ) -> np.ndarray:
-        targets = np.asarray(targets)
         if predictions.ndim != 3:
             raise ValueError(
                 f"expected 3-D stacked logits, got shape {predictions.shape}"
             )
-        if targets.shape != predictions.shape[:2]:
-            raise ValueError(
-                f"targets shape {targets.shape} does not match stacked "
-                f"batch {predictions.shape[:2]}"
-            )
-        if not np.issubdtype(targets.dtype, np.integer):
-            raise TypeError("SoftmaxCrossEntropy expects integer class targets")
-        self._probs = softmax(predictions, axis=2)
-        self._targets = targets
-        c, n = targets.shape
-        picked = self._probs[
-            np.arange(c)[:, None], np.arange(n)[None, :], targets
-        ]
-        return -np.mean(np.log(np.clip(picked, 1e-12, None)), axis=1)
+        loss, self._cache = _softmax_ce(predictions, targets)
+        return loss
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._targets is None:
-            raise RuntimeError("backward called before forward")
-        c, n = self._targets.shape
-        grad = self._probs.copy()
-        grad[
-            np.arange(c)[:, None], np.arange(n)[None, :], self._targets
-        ] -= 1.0
-        return grad / n
+        return _softmax_ce_grad(self._cache)
 
 
 class SigmoidBinaryCrossEntropy(Loss):
@@ -162,44 +198,20 @@ class SigmoidBinaryCrossEntropy(Loss):
     ``targets``: labels in {0, 1} of matching shape.
     """
 
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-        self._shape: tuple | None = None
-
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        self._shape = predictions.shape
-        logits = predictions.reshape(-1)
-        targets = np.asarray(targets, dtype=float).reshape(-1)
-        if logits.shape != targets.shape:
-            raise ValueError(
-                f"predictions {predictions.shape} and targets do not align"
-            )
-        # log(1 + exp(-|z|)) + max(z, 0) - z*y  is the stable BCE form.
-        loss = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
-        loss -= logits * targets
-        self._probs = sigmoid(logits)
-        self._targets = targets
-        return float(np.mean(loss))
+        loss, self._cache = _sigmoid_bce(predictions, targets, lead=0)
+        return float(loss)
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._targets is None or self._shape is None:
-            raise RuntimeError("backward called before forward")
-        grad = (self._probs - self._targets) / self._targets.size
-        return grad.reshape(self._shape)
+        return _sigmoid_bce_grad(self._cache)
 
     def batched(self) -> "BatchedSigmoidBinaryCrossEntropy":
         return BatchedSigmoidBinaryCrossEntropy()
 
 
 class BatchedSigmoidBinaryCrossEntropy(BatchedLoss):
-    """Counterpart of :class:`SigmoidBinaryCrossEntropy` over stacked
-    ``(C, batch)`` or ``(C, batch, 1)`` logits."""
-
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-        self._shape: tuple | None = None
+    """:class:`SigmoidBinaryCrossEntropy` over stacked ``(C, batch)`` or
+    ``(C, batch, 1)`` logits."""
 
     def forward(
         self, predictions: np.ndarray, targets: np.ndarray
@@ -209,77 +221,41 @@ class BatchedSigmoidBinaryCrossEntropy(BatchedLoss):
                 f"expected stacked logits with a leading client axis, got "
                 f"shape {predictions.shape}"
             )
-        self._shape = predictions.shape
-        c = predictions.shape[0]
-        logits = predictions.reshape(c, -1)
-        targets = np.asarray(targets, dtype=float).reshape(c, -1)
-        if logits.shape != targets.shape:
-            raise ValueError(
-                f"predictions {predictions.shape} and targets do not align"
-            )
-        # Same stable BCE form as the serial loss, elementwise.
-        loss = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
-        loss -= logits * targets
-        self._probs = sigmoid(logits)
-        self._targets = targets
-        return np.mean(loss, axis=1)
+        loss, self._cache = _sigmoid_bce(predictions, targets, lead=1)
+        return loss
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._targets is None or self._shape is None:
-            raise RuntimeError("backward called before forward")
-        grad = (self._probs - self._targets) / self._targets.shape[1]
-        return grad.reshape(self._shape)
+        return _sigmoid_bce_grad(self._cache)
 
 
 class MeanSquaredError(Loss):
     """Mean of squared differences, averaged over every element."""
 
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=float)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: {predictions.shape} vs {targets.shape}"
-            )
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
+        loss, self._cache = _mse(predictions, targets, lead=0)
+        return float(loss)
 
     def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size
+        return _mse_grad(self._cache, lead=0)
 
     def batched(self) -> "BatchedMeanSquaredError":
         return BatchedMeanSquaredError()
 
 
 class BatchedMeanSquaredError(BatchedLoss):
-    """Counterpart of :class:`MeanSquaredError`: each client's loss is
-    the flat mean over its own ``(batch, ...)`` block."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
+    """:class:`MeanSquaredError` per client: each client's loss is the
+    mean over its own ``(batch, ...)`` block."""
 
     def forward(
         self, predictions: np.ndarray, targets: np.ndarray
     ) -> np.ndarray:
-        targets = np.asarray(targets, dtype=float)
         if predictions.ndim < 2:
             raise ValueError(
                 f"expected stacked predictions with a leading client axis, "
                 f"got shape {predictions.shape}"
             )
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: {predictions.shape} vs {targets.shape}"
-            )
-        self._diff = predictions - targets
-        sq = self._diff**2
-        return np.mean(sq.reshape(sq.shape[0], -1), axis=1)
+        loss, self._cache = _mse(predictions, targets, lead=1)
+        return loss
 
     def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff[0].size
+        return _mse_grad(self._cache, lead=1)

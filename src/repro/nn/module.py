@@ -10,15 +10,20 @@ a :class:`BatchedModule` whose ``forward``/``backward`` take
 ``(C, batch, ...)`` tensors and whose parameters/gradients are strided
 views into one stacked ``(C, n_params)`` pair of flat vectors.
 
-The contract every batched counterpart must honour: for each client
-``c``, slicing its inputs/params out and running the serial layer must
-give **bitwise-identical** outputs and gradient accumulations — all
-reductions stay per-client (no cross-client sums), and every kernel is
-chosen so numpy performs the same per-element floating-point operation
-sequence as the serial path (stacked GEMMs loop the same BLAS call per
-slice; elementwise ops are stacking-invariant; reduction axes keep the
-same length and memory layout).  This is what lets the ``batched``
-executor produce run histories digest-identical to serial.
+A layer and its batched counterpart share one kernel per layer, a
+private function in the layer's module that takes any number of
+leading axes; the two classes keep only input validation, where the
+parameters live (``Parameter`` objects or binder views) and thin
+methods that call the kernel.  The contract the kernels honour: for
+each client ``c``, slicing its inputs/params out and running the
+serial layer gives **bitwise-identical** outputs and gradient
+accumulations — all reductions stay per-client (no cross-client sums),
+and each leading slice sees the serial operand shapes and strides, so
+numpy performs the same per-element floating-point operation sequence
+(stacked GEMMs loop the same BLAS call per slice; elementwise ops are
+stacking-invariant; reduction axes keep the same length and memory
+layout).  This is what lets the ``batched`` executor produce run
+histories digest-identical to serial.
 """
 
 from __future__ import annotations
@@ -106,13 +111,14 @@ class BatchedParamBinder:
             )
 
 
-class BatchedModule:
-    """Base class for batched-leading-axis module counterparts.
+class _Layer:
+    """The forward/backward contract :class:`Module` and
+    :class:`BatchedModule` share.
 
-    Mirrors the :class:`Module` contract with every tensor carrying a
-    leading client axis: ``forward`` takes ``(C, batch, ...)`` and
-    caches what ``backward`` needs; ``backward`` accumulates into the
-    stacked gradient views and returns the stacked input gradient.
+    ``forward`` caches what ``backward`` needs; ``backward`` accumulates
+    parameter gradients and returns the input gradient.  The forward
+    cache is single-use: call ``forward`` then ``backward`` once per
+    step.
     """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -122,12 +128,31 @@ class BatchedModule:
         raise NotImplementedError
 
     def head_backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
-        """Network-head backward: same contract as
-        :meth:`Module.head_backward`, one leading client axis."""
+        """Backward pass when this module is the network head.
+
+        The head (first) layer's *input* gradient is dead work — no
+        caller of a training step consumes it — so layers whose input
+        gradient is separable (Dense, Conv2D, Embedding) override this
+        to accumulate parameter gradients only and return None.
+        Parameter gradients are bitwise-unchanged, which is why the
+        trainer's histories are unaffected.  The default falls back to
+        the full :meth:`backward`.
+        """
         return self.backward(grad_output)
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
+
+
+class BatchedModule(_Layer):
+    """Base class for batched-leading-axis module counterparts.
+
+    The :class:`Module` contract with every tensor carrying a leading
+    client axis: ``forward`` takes ``(C, batch, ...)``; ``backward``
+    accumulates into the stacked gradient views and returns the stacked
+    input gradient.  Layers with parameters run their plain
+    counterpart's kernel (see the module docstring).
+    """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -162,24 +187,17 @@ class BatchedStateless(BatchedModule):
         return f"BatchedStateless({type(self._inner).__name__})"
 
 
-class Module:
+class Module(_Layer):
     """Base class for all layers and models.
 
     Subclasses implement :meth:`forward` (caching activations needed by
     the backward pass) and :meth:`backward` (accumulating parameter
-    gradients, returning the input gradient).  The forward cache is
-    single-use: call ``forward`` then ``backward`` once per step.
+    gradients, returning the input gradient).
     """
 
     def parameters(self) -> List[Parameter]:
         """All trainable parameters of this module, in a stable order."""
         return []
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -236,38 +254,49 @@ class Module:
             f"{type(self).__name__} has no batched counterpart"
         )
 
-    def head_backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
-        """Backward pass when this module is the network head.
-
-        The head (first) layer's *input* gradient is dead work — no
-        caller of a training step consumes it — so layers whose input
-        gradient is separable (Dense, Conv2D, Embedding) override this
-        to accumulate parameter gradients only and return None.
-        Parameter gradients are bitwise-unchanged, which is why the
-        trainer's histories are unaffected.  The default falls back to
-        the full :meth:`backward`.
-        """
-        return self.backward(grad_output)
-
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
-
     def __repr__(self) -> str:
         n = sum(p.size for p in self.parameters())
         return f"{type(self).__name__}(parameters={n})"
 
 
-class Sequential(Module):
-    """Feed-forward composition of layers.
+class _Chain:
+    """The chain loops shared by :class:`Sequential` and
+    :class:`BatchedSequential`: ``forward`` threads the input through
+    each layer in order and ``backward`` runs the chain rule in
+    reverse."""
 
-    ``forward`` threads the input through each layer in order and
-    ``backward`` runs the chain rule in reverse.
-    """
-
-    def __init__(self, layers: Iterable[Module]) -> None:
-        self.layers: List[Module] = list(layers)
+    def __init__(self, layers: Iterable) -> None:
+        self.layers = list(layers)
         if not self.layers:
-            raise ValueError("Sequential requires at least one layer")
+            raise ValueError(f"{type(self).__name__} requires at least one layer")
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        out = x
+        for layer in self.layers:
+            out = layer.forward(out, training=training)
+        return out
+
+    def _backward_to_head(self, grad_output: np.ndarray) -> np.ndarray:
+        grad = grad_output
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad)
+        return grad
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return self.layers[0].backward(self._backward_to_head(grad_output))
+
+    def head_backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
+        return self.layers[0].head_backward(self._backward_to_head(grad_output))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(type(l).__name__ for l in self.layers)
+        return f"{type(self).__name__}([{inner}])"
+
+
+class Sequential(_Chain, Module):
+    """Feed-forward composition of layers."""
+
+    layers: List[Module]
 
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []
@@ -275,61 +304,14 @@ class Sequential(Module):
             params.extend(layer.parameters())
         return params
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def head_backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
-        grad = grad_output
-        for layer in reversed(self.layers[1:]):
-            grad = layer.backward(grad)
-        return self.layers[0].head_backward(grad)
-
     def batched(self, binder: BatchedParamBinder) -> "BatchedSequential":
         return BatchedSequential(
             [layer.batched(binder) for layer in self.layers]
         )
 
-    def __repr__(self) -> str:
-        inner = ", ".join(type(l).__name__ for l in self.layers)
-        return f"Sequential([{inner}])"
 
+class BatchedSequential(_Chain, BatchedModule):
+    """Batched counterpart of :class:`Sequential`: the same chain loops,
+    one leading client axis on every tensor."""
 
-class BatchedSequential(BatchedModule):
-    """Batched counterpart of :class:`Sequential`: same chain rule, one
-    leading client axis on every tensor."""
-
-    def __init__(self, layers: Iterable[BatchedModule]) -> None:
-        self.layers: List[BatchedModule] = list(layers)
-        if not self.layers:
-            raise ValueError("BatchedSequential requires at least one layer")
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def head_backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
-        grad = grad_output
-        for layer in reversed(self.layers[1:]):
-            grad = layer.backward(grad)
-        return self.layers[0].head_backward(grad)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(type(l).__name__ for l in self.layers)
-        return f"BatchedSequential([{inner}])"
+    layers: List[BatchedModule]

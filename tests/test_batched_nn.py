@@ -44,8 +44,9 @@ C = 3  # stacked clients in every test
 
 
 def _check_layer(module_factory, x_stack, grad_from=None, training=True):
-    """Batched forward/backward over C stacked clients must be bitwise
-    equal to C serial runs with the same per-client parameters."""
+    """Batched forward/backward and head_backward over C stacked clients
+    must be bitwise equal to C serial runs with the same per-client
+    parameters."""
     ref = module_factory()
     n_params = parameter_count(ref)
     binder = BatchedParamBinder(C, n_params)
@@ -69,6 +70,27 @@ def _check_layer(module_factory, x_stack, grad_from=None, training=True):
             np.testing.assert_array_equal(
                 binder.grad[c], flatten_gradients(serial), strict=True
             )
+
+    # head_backward (the training step's path into the first layer):
+    # the full backward's parameter gradients on both paths, per client.
+    full_grads = binder.grad.copy()
+    binder.grad[...] = 0.0
+    batched.forward(x_stack, training=training)
+    head_dx = batched.head_backward(grad_out)
+    np.testing.assert_array_equal(binder.grad, full_grads, strict=True)
+    for c in range(C):
+        serial = module_factory()
+        if n_params:
+            assign_flat_parameters(serial, binder.data[c].copy())
+        serial.forward(x_stack[c], training=training)
+        serial_dx = serial.head_backward(np.ascontiguousarray(grad_out[c]))
+        if n_params:
+            np.testing.assert_array_equal(
+                binder.grad[c], flatten_gradients(serial), strict=True
+            )
+        if isinstance(ref, (Conv2D, Dense, Embedding)):
+            # These layers elide the input gradient as the head.
+            assert head_dx is None and serial_dx is None
     return out
 
 

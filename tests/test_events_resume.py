@@ -139,24 +139,56 @@ def test_restore_rejects_staleness_bound_mismatch(tmp_path):
     kw = _kwargs(tmp_path, "mis")
     _run_uninterrupted(kw)
     path = latest_checkpoint(kw["ckpt_dir"])
+    trace = Path(kw["trace_path"])
+    before = trace.read_bytes()
     with pytest.raises(ValueError, match="staleness_bound"):
         AsyncFederatedTrainer.restore(
             path,
             async_config=async_config(staleness_bound=7),
             **federation_parts(**kw),
         )
+    # The rejection comes before the build, which would resume (and
+    # truncate) the trace.
+    assert trace.read_bytes() == before
 
 
 def test_sync_checkpoint_refused_by_async_restore(tmp_path):
-    kw = dict(rounds=2, ckpt_dir=str(tmp_path / "ckpt"))
+    kw = dict(
+        rounds=2,
+        ckpt_dir=str(tmp_path / "ckpt"),
+        trace_path=str(tmp_path / "t.jsonl"),
+    )
     trainer = FederatedTrainer(**federation_parts(**kw))
     with trainer:
         trainer.run(2)
     path = latest_checkpoint(kw["ckpt_dir"])
+    before = Path(kw["trace_path"]).read_bytes()
     with pytest.raises(ValueError, match="no async-engine state"):
         AsyncFederatedTrainer.restore(
             path, async_config=async_config(), **federation_parts(**kw)
         )
+    assert Path(kw["trace_path"]).read_bytes() == before
+
+
+def test_resume_reads_checkpoint_once(tmp_path, monkeypatch):
+    import repro.ckpt
+
+    kw = _kwargs(tmp_path, "once")
+    _run_uninterrupted(kw)
+    path = latest_checkpoint(kw["ckpt_dir"])
+    reads = []
+    original = repro.ckpt.read_checkpoint
+
+    def counting(*args, **kwargs):
+        reads.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repro.ckpt, "read_checkpoint", counting)
+    engine = AsyncFederatedTrainer.restore(
+        path, async_config=async_config(), **federation_parts(**kw)
+    )
+    engine.close()
+    assert len(reads) == 1
 
 
 def test_sigkill_resume_matches_uninterrupted(tmp_path):
