@@ -70,8 +70,8 @@ def test_scale(benchmark, emit_report):
         assert point["clients_per_sec"] > 0.0, point
         assert point["history_digest"], point
         # Laziness contract: the cohorts' draws bound the touched
-        # shards; the population size must not.
-        assert point["materialized_shards"] <= COHORT * ROUNDS + 1, point
+        # rows; the population size must not.
+        assert point["materialized_shards"] <= COHORT * ROUNDS, point
     # The store promise (and the bench_compare --max-rss-growth gate):
     # resident memory follows touched state, not pool size.
     assert worst <= 10.0, (

@@ -3,7 +3,7 @@
 Checkpoints capture *everything* a federated run's next round depends
 on — global model, optimizer slots, CMFL feedback state, client and
 sampler RNG streams, communication ledger, run history and the trace
-continuation — in a single verifiable ``repro-ckpt/v1`` container.
+continuation — in a single verifiable ``repro-ckpt/v2`` container.
 
 The headline guarantee (enforced in ``tests/test_ckpt_resume.py``): a
 run killed at any point and resumed from its last checkpoint produces
@@ -42,6 +42,7 @@ from repro.ckpt.state import (
     apply_run_state,
     build_resume_tracer,
     capture_run_state,
+    open_resume_sink,
 )
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "capture_run_state",
     "checkpoint_paths",
     "latest_checkpoint",
+    "open_resume_sink",
     "read_checkpoint",
     "save_checkpoint",
     "verify_checkpoint",

@@ -36,7 +36,7 @@ def save_checkpoint(trainer: Any, path: Union[str, Path]) -> Path:
 
     Call at a round boundary only.  The trace sinks are fsynced first,
     so every event with ``seq`` below the captured counter is durable
-    and :func:`~repro.ckpt.state.build_resume_tracer` can rely on it.
+    and :func:`~repro.ckpt.state.open_resume_sink` can rely on it.
     """
     tracer = trainer.tracer
     if tracer.enabled:

@@ -1,4 +1,4 @@
-"""The ``repro-ckpt/v1`` checkpoint container format.
+"""The ``repro-ckpt/v2`` checkpoint container format.
 
 A checkpoint is a single zip file (suffix ``.ckpt``) holding:
 
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 #: Schema tag stored in every manifest; bump on incompatible changes.
-CKPT_SCHEMA = "repro-ckpt/v1"
+CKPT_SCHEMA = "repro-ckpt/v2"
 
 #: File suffix of checkpoint containers.
 CKPT_SUFFIX = ".ckpt"
@@ -110,7 +110,7 @@ def write_checkpoint(
     arrays: Dict[str, np.ndarray],
     texts: Optional[Dict[str, str]] = None,
 ) -> int:
-    """Write a ``repro-ckpt/v1`` container; returns its size in bytes.
+    """Write a ``repro-ckpt/v2`` container; returns its size in bytes.
 
     ``manifest`` is extended in place with the ``schema`` tag, the
     ``arrays`` index and the per-member digest table before being

@@ -11,7 +11,7 @@ cover everything round ``t+1`` depends on:
   which determines u_bar and the threshold context) and any mutable
   policy state;
 * every client's RNG stream position plus the sampler's RNG — for a
-  store-backed federation, the materialized shard arrays of the
+  store-backed federation, the row table of the
   :class:`~repro.fl.store.ClientStateStore` instead (rows already hold
   the encoded stream positions);
 * the communication ledger and the full :class:`RunHistory`;
@@ -41,6 +41,7 @@ __all__ = [
     "apply_run_state",
     "build_resume_tracer",
     "capture_run_state",
+    "open_resume_sink",
 ]
 
 #: Container member holding the serialised RunHistory.
@@ -110,9 +111,9 @@ def capture_run_state(
         ),
         "executor": {"backend": trainer.executor.name},
     }
-    # Store-backed federations: the population lives in shard arrays,
-    # not client objects, so ``rng.clients`` above is empty and the
-    # shard state rides along as ``store/shard/<id>/<field>`` arrays.
+    # Store-backed federations: the population lives in the store's
+    # row table, not client objects, so ``rng.clients`` above is empty
+    # and the table rides along as ``store/<field>`` arrays.
     # The store refuses to snapshot while round views are outstanding,
     # which re-asserts the round-boundary contract for this mode.
     if trainer.store is not None:
@@ -227,9 +228,8 @@ def _apply(trainer: Any, ckpt: Checkpoint, manifest: Dict[str, Any]) -> None:
             else "trainer is store-backed but the checkpoint is not"
         )
     if store_manifest is not None:
-        # The store validates population/shard_size/seed/partition
-        # identity itself and rebuilds exactly the shards the snapshot
-        # had materialized.
+        # The store validates population/seed/partition identity and
+        # the table's shapes itself, and rebuilds exactly its rows.
         trainer.store.load_state(
             store_manifest,
             {
@@ -255,18 +255,29 @@ def _apply(trainer: Any, ckpt: Checkpoint, manifest: Dict[str, Any]) -> None:
 
 
 def build_resume_tracer(trace_state: Any, config: Any) -> Any:
-    """Reconstruct the tracer continuation for a resumed run.
+    """Reconstruct the tracer continuation for a resumed run, sinkless.
 
     Returns ``None`` when the checkpoint carried no trace state or the
-    config has tracing off (the trainer then builds its default).  With
-    a ``trace_path``, the original JSONL file is truncated back to the
-    events the checkpoint had durably flushed (``seq`` strictly below
-    the snapshot's counter — anything later belongs to the crashed
-    partial round) and reopened in append mode, so the resumed run
-    extends the exact original stream.
+    config has tracing off (the trainer then builds its default).  The
+    sink comes from :func:`open_resume_sink`, once the checkpoint has
+    been accepted, so a rejected restore never touches the trace.
     """
     if trace_state is None or not config.trace_enabled:
         return None
+    tracer = Tracer(emit_header=False)
+    tracer.restore_state(trace_state)
+    return tracer
+
+
+def open_resume_sink(tracer: Any, trace_state: Any, config: Any) -> None:
+    """Give a :func:`build_resume_tracer` tracer its sink.
+
+    With a ``trace_path``, the original JSONL file is truncated back to
+    the events the checkpoint had durably flushed (``seq`` strictly
+    below the snapshot's counter — anything later belongs to the crashed
+    partial round) and reopened in append mode, so the resumed run
+    extends the exact original stream.
+    """
     upto_seq = int(trace_state["seq"])
     if config.trace_path:
         path = Path(config.trace_path)
@@ -281,11 +292,8 @@ def build_resume_tracer(trace_state: Any, config: Any) -> Any:
                 f"trace at {path} has only {kept} events before seq "
                 f"{upto_seq}; it does not match this checkpoint"
             )
-        sink = JsonlSink(path, mode="a")
+        tracer.sinks.append(JsonlSink(path, mode="a"))
     else:
         # In-memory traces do not survive the original process; the
         # resumed stream continues from the checkpoint's counters.
-        sink = MemorySink()
-    tracer = Tracer(sinks=[sink], emit_header=False)
-    tracer.restore_state(trace_state)
-    return tracer
+        tracer.sinks.append(MemorySink())

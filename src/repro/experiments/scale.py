@@ -3,12 +3,12 @@
 The paper's cross-device setting has a huge enrolled population with a
 tiny active cohort per round (ROADMAP #2; the Optimal-Client-Sampling
 line of work assumes the same regime).  This experiment measures what
-that costs under the sharded :class:`~repro.fl.store.ClientStateStore`:
-a fixed 100-client cohort federates over populations of 1k / 10k /
-100k / 1M clients and we record **peak RSS** and **clients/sec** per
-point.  With the store, memory follows the *touched* state — the
-shared dataset plus the few shards the cohorts landed in — so RSS must
-grow sublinearly in population (the gate in ``tools/bench_compare.py
+that costs under the :class:`~repro.fl.store.ClientStateStore`: a
+fixed 100-client cohort federates over populations of 1k / 10k / 100k
+/ 1M clients and we record **peak RSS** and **clients/sec** per point.
+With the store, memory follows the *touched* state — the shared
+dataset plus one row per client the cohorts drew — so RSS must grow
+sublinearly in population (the gate in ``tools/bench_compare.py
 --max-rss-growth`` holds the 100k point to <= 10x the 1k point).
 
 The workload is deliberately population-independent everywhere except
@@ -75,12 +75,6 @@ _DATASET_ROWS = 4_096
 _N_FEATURES = 64
 _SAMPLES_PER_CLIENT = 50
 
-#: Smaller shards than the store default: a cross-device cohort is a
-#: sparse random draw, so almost every participant lands in its own
-#: shard and the per-shard allocation is the marginal memory cost of
-#: one touched client.
-_SCALE_SHARD_SIZE = 1_024
-
 
 def make_scale_trainer(
     population: int,
@@ -116,7 +110,6 @@ def make_scale_trainer(
         population,
         CyclicPartition(data, population, _SAMPLES_PER_CLIENT),
         seed=seed,
-        shard_size=_SCALE_SHARD_SIZE,
     )
     config = FLConfig(
         rounds=100,
@@ -197,7 +190,6 @@ def run_scale_point(
             "peak_rss_kib": peak_rss_kib(),
             "store_nbytes": store.nbytes,
             "materialized_shards": store.materialized_shards,
-            "shard_size": store.shard_size,
             "history_digest": digest,
             "trace": {
                 "enabled": bool(trainer.tracer.enabled),
@@ -215,7 +207,7 @@ def format_point(point: Dict[str, object]) -> str:
         f"population {point['population']:>9,}: "
         f"rss {point['peak_rss_kib'] / 1024:8.1f} MiB, "
         f"{point['clients_per_sec']:8.1f} clients/s, "
-        f"{point['materialized_shards']:>4} shards "
+        f"{point['materialized_shards']:>5} rows "
         f"({point['store_nbytes'] / 1024:.0f} KiB store)"
     )
 

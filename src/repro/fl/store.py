@@ -1,4 +1,4 @@
-"""Sharded, array-backed client-state store: the population model.
+"""Array-backed client-state store: the population model.
 
 The paper's cross-device regime has millions of enrolled devices of
 which only a tiny cohort participates per round.  Holding one live
@@ -7,40 +7,38 @@ size" the dominant cost; this module inverts that: the *population* is
 rows in contiguous numpy arrays, and Python objects exist only for the
 clients of the current round.
 
-Layout.  A population of P clients is split into fixed-size shards of
-``shard_size`` rows.  Each shard owns three (optionally four) arrays,
-allocated lazily the first time any of its clients is touched:
+Layout.  One table holds a row per *touched* client (checked out or
+recorded), in first-touch order: an insertion-ordered ``{client_index:
+row}`` dict locates the row, and the row arrays grow geometrically:
 
 * ``rng``   — ``uint64 (rows, 6)``: the PCG64 counter state of each
   client's stream (state hi/lo, increment hi/lo, ``has_uint32``,
   ``uinteger``), exactly the fields of ``Generator.bit_generator
   .state`` — so a row round-trips a stream bitwise;
-* ``live``  — ``bool (rows,)``: whether the row holds a captured
-  stream; a dead row's stream is defined by the seed scheme below, so
-  untouched clients cost nothing and touch order cannot matter;
 * ``stats`` — ``int64 (rows, 3)``: participations, uploads, last
   participation round;
-* ``feedback`` — ``uint8 (rows, packed_sign_nbytes(n_params))``: the
-  packed sign bit-planes (:func:`repro.core.feedback.pack_signs`) of
-  the global-update feedback each client last trained against — 2 bits
-  per parameter instead of a float64 vector per client.
+* ``feedback`` — ``uint8 (rows, packed_sign_nbytes(n_params))``, only
+  with ``track_feedback``: the packed sign bit-planes
+  (:func:`repro.core.feedback.pack_signs`) of the global-update
+  feedback each client last trained against.
 
-Fresh streams are a pure function of ``(seed, client_index)`` via
-``SeedSequence``, never of when a client first participates: two runs
-that touch different shards in different orders still agree on every
-stream.
+A row always holds a valid stream: the one captured at the client's
+last writeback or, before that, its fresh stream — a pure function of
+``(seed, client_index)`` via ``SeedSequence``.  So a client with no row
+costs nothing, touch order cannot change any stream, and the footprint
+follows the touched clients, never the population.
 
 Laziness contract.  :meth:`ClientStateStore.checkout` materializes
 :class:`StoreClient` views (real ``FLClient`` subclasses — every
 executor backend accepts them unchanged) for exactly the requested
 indices; :meth:`ClientStateStore.writeback` captures the advanced RNG
-streams into the shard rows and releases the views.  Between a
-checkout and its writeback the store refuses to snapshot
-(:meth:`state_arrays` raises): shard arrays are only consistent at
-round boundaries, the same place checkpoints are legal.  Shard arrays
-are **coordinator-owned** state — worker-reachable code must never
-write them (enforced by the ``shared-state-race`` flow rule's store
-boundary; see DESIGN.md §6f).
+streams into their rows and releases the views.  Between a checkout
+and its writeback the store refuses to snapshot: rows are only
+consistent at round boundaries, where checkpoints are legal.  A
+snapshot is the table itself — ``index`` (each row's client), ``rng``,
+``stats`` and ``[feedback]``.  The rows are **coordinator-owned**
+state — worker-reachable code must never write them (enforced by the
+``shared-state-race`` flow rule's store boundary; see DESIGN.md §6f).
 
 Data stays shared: a :class:`DataPartition` maps a client index to its
 shard of a common dataset.  :class:`CyclicPartition` is O(1) state per
@@ -65,16 +63,15 @@ __all__ = [
     "ClientStateStore",
     "CyclicPartition",
     "DataPartition",
-    "DEFAULT_SHARD_SIZE",
     "ExplicitPartition",
     "IndexedPartition",
     "StoreClient",
 ]
 
-#: Rows per shard.  Large enough that shard bookkeeping is negligible,
-#: small enough that touching a 100-client cohort in a 1M-population
-#: materializes kilobytes, not the pool.
-DEFAULT_SHARD_SIZE = 4096
+#: Rows the table allocates at its first touch, and the factor it
+#: grows by whenever it fills.
+_INITIAL_ROWS = 64
+_GROWTH = 2
 
 _U64 = (1 << 64) - 1
 
@@ -260,9 +257,9 @@ class StoreClient(FLClient):
     A real :class:`~repro.fl.client.FLClient` — every executor backend
     (serial/batched) runs it unchanged; its dataset aliases the
     partition's shared arrays and its RNG stream was restored from (or
-    freshly derived for) its shard row.  Views live for one round:
-    the store's :meth:`~ClientStateStore.writeback` captures the
-    advanced stream back into the shard and retires the view.
+    freshly derived for) its row.  Views live for one round: the
+    store's :meth:`~ClientStateStore.writeback` captures the advanced
+    stream back into the row and retires the view.
     """
 
     def __init__(
@@ -286,31 +283,26 @@ class StoreClient(FLClient):
         return f"StoreClient(id={self.client_id}, n={self.n_samples})"
 
 
-class _Shard:
-    """One shard's arrays; allocated only when a row is first touched."""
-
-    __slots__ = ("rng", "live", "stats", "feedback")
-
-    def __init__(self, rows: int) -> None:
-        self.rng = np.zeros((rows, 6), dtype=np.uint64)
-        self.live = np.zeros(rows, dtype=bool)
-        self.stats = np.zeros((rows, 3), dtype=np.int64)
-        self.feedback: Optional[np.ndarray] = None
-
-
 #: stats columns, by index.
 _PARTICIPATIONS, _UPLOADS, _LAST_ROUND = 0, 1, 2
 
 
-class ClientStateStore:
-    """Sharded array-backed per-client state for huge populations.
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` copied into a zeroed array of ``rows`` rows."""
+    out = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
+    out[: len(array)] = array
+    return out
 
-    ``population`` rows of client state (RNG counters, participation
-    stats, packed feedback signs) in lazily allocated fixed-size
-    shards; ``partition`` maps rows to data.  Peak memory is
-    O(touched shards + dataset), never O(population x object): a
-    100-client cohort from a million-client pool materializes a
-    handful of shards and exactly 100 Python objects.
+
+class ClientStateStore:
+    """Array-backed per-client state for huge populations.
+
+    ``population`` clients' state (RNG counters, participation stats,
+    packed feedback signs) lives in one table with a row per touched
+    client; ``partition`` maps clients to data.  Peak memory is
+    O(touched clients + dataset), never O(population x object): a
+    100-client cohort from a million-client pool adds at most 100 rows
+    and exactly 100 Python objects.
 
     ``track_feedback=True`` additionally records, for every
     participant, the packed sign bit-planes of the feedback vector it
@@ -323,14 +315,11 @@ class ClientStateStore:
         population: int,
         partition: DataPartition,
         seed: int = 0,
-        shard_size: int = DEFAULT_SHARD_SIZE,
         track_feedback: bool = False,
         n_params: Optional[int] = None,
     ) -> None:
         if population < 1:
             raise ValueError("population must be >= 1")
-        if shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
         if len(partition) < population:
             raise ValueError(
                 f"partition covers {len(partition)} clients, population "
@@ -341,10 +330,9 @@ class ClientStateStore:
         self.population = population
         self.partition = partition  # ckpt: transient — re-supplied at build, like datasets
         self.seed = seed
-        self.shard_size = shard_size
         self.track_feedback = track_feedback
         self.n_params = n_params
-        self._shards: Dict[int, _Shard] = {}
+        self._clear()
         self._outstanding: Dict[int, StoreClient] = {}  # ckpt: transient — live round views
         self.metrics = None  # ckpt: transient — live registry binding
 
@@ -354,7 +342,6 @@ class ClientStateStore:
     def from_clients(
         cls,
         clients: Sequence[FLClient],
-        shard_size: int = DEFAULT_SHARD_SIZE,
         track_feedback: bool = False,
         n_params: Optional[int] = None,
     ) -> "ClientStateStore":
@@ -364,7 +351,7 @@ class ClientStateStore:
         came from — every view checked out later resumes the exact RNG
         stream the eager object held, so run histories digest-match.
         Client ids must be the dense range ``0..len-1`` (the store's
-        row index *is* the client id).
+        client index *is* the client id).
         """
         for position, client in enumerate(clients):
             if client.client_id != position:
@@ -376,42 +363,71 @@ class ClientStateStore:
         store = cls(
             len(clients),
             ExplicitPartition([c.train_data for c in clients]),
-            shard_size=shard_size,
             track_feedback=track_feedback,
             n_params=n_params,
         )
         for client in clients:
-            shard, offset = store._locate(client.client_id)
-            _encode_pcg64(client.rng_state(), shard.rng[offset])
-            shard.live[offset] = True
+            store._new_row(client.client_id, client.rng_state())
         return store
 
     # -- internals -----------------------------------------------------
 
-    def _shard_rows(self, shard_id: int) -> int:
-        start = shard_id * self.shard_size
-        return min(self.shard_size, self.population - start)
+    def _clear(self) -> None:
+        """Drop every row (a fresh store holds none)."""
+        self._rows: Dict[int, int] = {}
+        self._table = {
+            "rng": np.zeros((0, 6), dtype=np.uint64),
+            "stats": np.zeros((0, 3), dtype=np.int64),
+        }
+        if self.track_feedback:
+            width = packed_sign_nbytes(self.n_params)
+            self._table["feedback"] = np.zeros((0, width), dtype=np.uint8)
 
-    def _locate(self, index: int):
-        """(shard, row offset) for a client index, materializing lazily."""
-        shard_id, offset = divmod(index, self.shard_size)
-        shard = self._shards.get(shard_id)
-        if shard is None:
-            shard = _Shard(self._shard_rows(shard_id))
-            self._shards[shard_id] = shard
-            if self.metrics is not None:
-                self.metrics.counter("store.shards_materialized").inc()
-        return shard, offset
+    def _reserve(self, rows: int) -> None:
+        """Grow the row arrays geometrically until ``rows`` fit."""
+        capacity = len(self._table["stats"])
+        if rows <= capacity:
+            return
+        capacity = max(capacity, _INITIAL_ROWS)
+        while capacity < rows:
+            capacity *= _GROWTH
+        self._table = {k: _grown(a, capacity) for k, a in self._table.items()}
+
+    def _new_row(self, index: int, state: Dict[str, Any]) -> int:
+        """Append client ``index``'s row, holding the stream ``state``."""
+        row = len(self._rows)
+        self._reserve(row + 1)
+        _encode_pcg64(state, self._table["rng"][row])
+        self._rows[index] = row
+        return row
+
+    def _count_new_rows(self, before: int) -> None:
+        if self.metrics is not None and len(self._rows) > before:
+            self.metrics.counter("store.rows_materialized").inc(
+                len(self._rows) - before
+            )
 
     def _fresh_stream(self, index: int) -> np.random.Generator:
         """The deterministic stream of a never-touched client.
 
         A pure function of ``(seed, index)``: participation order and
-        shard touch order cannot change any client's draws.
+        touch order cannot change any client's draws.
         """
+        if not 0 <= index < self.population:
+            raise IndexError(
+                f"client index {index} outside population "
+                f"[0, {self.population})"
+            )
         return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=(self.seed, index)))
         )
+
+    def _require_boundary(self) -> None:
+        if self._outstanding:
+            raise RuntimeError(
+                f"{len(self._outstanding)} views are checked out; the "
+                "store only snapshots at round boundaries"
+            )
 
     # -- the round-trip: checkout, writeback ---------------------------
 
@@ -422,43 +438,40 @@ class ClientStateStore:
         be returned through :meth:`writeback` before the next checkout
         of the same client or a state snapshot.
         """
+        before = len(self._rows)
         views: List[StoreClient] = []
         for raw in indices:
             index = int(raw)
-            if not 0 <= index < self.population:
-                raise IndexError(
-                    f"client index {index} outside population "
-                    f"[0, {self.population})"
-                )
             if index in self._outstanding:
                 raise RuntimeError(
                     f"client {index} is already checked out; writeback "
                     "the previous cohort first"
                 )
-            shard, offset = self._locate(index)
-            if shard.live[offset]:
-                rng = np.random.Generator(np.random.PCG64())
-                rng.bit_generator.state = _decode_pcg64(shard.rng[offset])
-            else:
+            row = self._rows.get(index)
+            if row is None:
                 rng = self._fresh_stream(index)
+                self._new_row(index, rng.bit_generator.state)
+            else:
+                rng = np.random.Generator(np.random.PCG64())
+                rng.bit_generator.state = _decode_pcg64(self._table["rng"][row])
             view = StoreClient(index, self.partition.materialize(index), rng)
             self._outstanding[index] = view
             views.append(view)
+        self._count_new_rows(before)
         if self.metrics is not None:
             self.metrics.counter("store.checkouts").inc(len(views))
         return views
 
     def writeback(self, views: Sequence[StoreClient]) -> None:
-        """Capture advanced RNG streams into shard rows; retire the views."""
+        """Capture advanced RNG streams into their rows; retire the views."""
         for view in views:
             index = view.client_id
             if self._outstanding.get(index) is not view:
                 raise RuntimeError(
                     f"client {index} is not checked out from this store"
                 )
-            shard, offset = self._locate(index)
-            _encode_pcg64(view.rng_state(), shard.rng[offset])
-            shard.live[offset] = True
+            row = self._rows[index]
+            _encode_pcg64(view.rng_state(), self._table["rng"][row])
             view._retired = True
             del self._outstanding[index]
         if self.metrics is not None and views:
@@ -473,117 +486,101 @@ class ClientStateStore:
     ) -> None:
         """Account one round's participation into the stats columns.
 
-        With feedback tracking on, every participant's row also
-        records the packed signs of ``feedback_sign`` — the broadcast
+        With feedback tracking on, ``feedback_sign`` is required: every
+        participant's row also records its packed signs — the broadcast
         u_bar it judged its update against.
         """
         packed = None
-        if self.track_feedback and feedback_sign is not None:
+        if self.track_feedback:
+            if feedback_sign is None:
+                raise ValueError("track_feedback=True needs feedback_sign")
             packed = pack_signs(feedback_sign)
             if packed.size != packed_sign_nbytes(self.n_params):
                 raise ValueError(
                     f"feedback sign vector is not {self.n_params} "
                     "parameters wide"
                 )
+        before = len(self._rows)
         for ids, uploaded in ((uploaded_ids, True), (skipped_ids, False)):
             for raw in ids:
                 index = int(raw)
-                shard, offset = self._locate(index)
-                shard.stats[offset, _PARTICIPATIONS] += 1
+                row = self._rows.get(index)
+                if row is None:
+                    state = self._fresh_stream(index).bit_generator.state
+                    row = self._new_row(index, state)
+                stats = self._table["stats"][row]
+                stats[_PARTICIPATIONS] += 1
                 if uploaded:
-                    shard.stats[offset, _UPLOADS] += 1
-                shard.stats[offset, _LAST_ROUND] = iteration
+                    stats[_UPLOADS] += 1
+                stats[_LAST_ROUND] = iteration
                 if packed is not None:
-                    if shard.feedback is None:
-                        shard.feedback = np.zeros(
-                            (len(shard.live), packed.size), dtype=np.uint8
-                        )
-                    shard.feedback[offset] = packed
+                    self._table["feedback"][row] = packed
+        self._count_new_rows(before)
 
     # -- inspection ----------------------------------------------------
 
     @property
     def materialized_shards(self) -> int:
-        return len(self._shards)
+        """The number of rows: clients touched so far."""
+        return len(self._rows)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in shard arrays (the population-model footprint)."""
-        total = 0
-        for shard in self._shards.values():
-            total += shard.rng.nbytes + shard.live.nbytes + shard.stats.nbytes
-            if shard.feedback is not None:
-                total += shard.feedback.nbytes
-        return total
+        """Bytes held in the row arrays (the population-model footprint)."""
+        return sum(array.nbytes for array in self._table.values())
 
     def participation_stats(self, index: int) -> Dict[str, int]:
         """(participations, uploads, last round) of one client."""
-        shard_id, offset = divmod(int(index), self.shard_size)
-        shard = self._shards.get(shard_id)
-        if shard is None:
+        row = self._rows.get(int(index))
+        if row is None:
             return {"participations": 0, "uploads": 0, "last_round": 0}
-        row = shard.stats[offset]
+        stats = self._table["stats"][row]
         return {
-            "participations": int(row[_PARTICIPATIONS]),
-            "uploads": int(row[_UPLOADS]),
-            "last_round": int(row[_LAST_ROUND]),
+            "participations": int(stats[_PARTICIPATIONS]),
+            "uploads": int(stats[_UPLOADS]),
+            "last_round": int(stats[_LAST_ROUND]),
         }
 
     def feedback_signs(self, index: int) -> Optional[np.ndarray]:
-        """Unpacked {-1,0,+1} feedback signs last seen by one client."""
+        """Unpacked {-1,0,+1} feedback signs last seen by one client.
+
+        ``None`` for a client that no round has recorded yet.
+        """
         if not self.track_feedback:
             raise ValueError("store was built with track_feedback=False")
-        shard_id, offset = divmod(int(index), self.shard_size)
-        shard = self._shards.get(shard_id)
-        if shard is None or shard.feedback is None:
+        row = self._rows.get(int(index))
+        if row is None or self._table["stats"][row, _PARTICIPATIONS] == 0:
             return None
-        return unpack_signs(shard.feedback[offset], self.n_params)
+        return unpack_signs(self._table["feedback"][row], self.n_params)
 
     # -- checkpoint plumbing (see repro.ckpt.state) --------------------
 
     def manifest(self) -> Dict[str, Any]:
         """JSON-safe identity + shape summary for the ckpt manifest."""
-        if self._outstanding:
-            raise RuntimeError(
-                f"{len(self._outstanding)} views are checked out; the "
-                "store only snapshots at round boundaries"
-            )
+        self._require_boundary()
         return {
             "population": self.population,
-            "shard_size": self.shard_size,
             "seed": self.seed,
             "track_feedback": self.track_feedback,
             "n_params": self.n_params,
-            "shards": sorted(self._shards),
-            "feedback_shards": sorted(
-                s for s, shard in self._shards.items()
-                if shard.feedback is not None
-            ),
             "partition": self.partition.describe(),
         }
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Materialized shard arrays, keyed ``shard/<id>/<field>``."""
-        if self._outstanding:
-            raise RuntimeError(
-                f"{len(self._outstanding)} views are checked out; the "
-                "store only snapshots at round boundaries"
-            )
-        arrays: Dict[str, np.ndarray] = {}
-        for shard_id in sorted(self._shards):
-            shard = self._shards[shard_id]
-            arrays[f"shard/{shard_id}/rng"] = shard.rng
-            arrays[f"shard/{shard_id}/live"] = shard.live
-            arrays[f"shard/{shard_id}/stats"] = shard.stats
-            if shard.feedback is not None:
-                arrays[f"shard/{shard_id}/feedback"] = shard.feedback
+        """The table in first-touch order: ``index``, ``rng``, ``stats``
+        and (with feedback tracking) ``feedback``."""
+        self._require_boundary()
+        n = len(self._rows)
+        arrays = {k: a[:n] for k, a in self._table.items()}
+        arrays["index"] = np.fromiter(self._rows, dtype=np.int64, count=n)
         return arrays
 
     def load_state(
         self, manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]
     ) -> None:
-        """Restore a :meth:`manifest` + :meth:`state_arrays` snapshot."""
-        for field in ("population", "shard_size", "seed", "track_feedback"):
+        """Restore a :meth:`manifest` + :meth:`state_arrays` snapshot
+        (validated first: it is read from outside the program)."""
+        for field in ("population", "seed", "track_feedback", "n_params"):
             if manifest[field] != getattr(self, field):
                 raise ValueError(
                     f"store snapshot has {field}={manifest[field]!r}, "
@@ -594,36 +591,29 @@ class ClientStateStore:
                 f"store snapshot partition {manifest['partition']!r} does "
                 f"not match {self.partition.describe()!r}"
             )
-        self._shards = {}
-        feedback_shards = set(manifest.get("feedback_shards", ()))
-        for shard_id in manifest["shards"]:
-            shard_id = int(shard_id)
-            rows = self._shard_rows(shard_id)
-            shard = _Shard(rows)
-            rng = np.asarray(arrays[f"shard/{shard_id}/rng"], dtype=np.uint64)
-            live = np.asarray(arrays[f"shard/{shard_id}/live"], dtype=bool)
-            stats = np.asarray(
-                arrays[f"shard/{shard_id}/stats"], dtype=np.int64
+        index = np.asarray(arrays["index"])
+        n = len(index)
+        shapes = {k: (n,) + a.shape[1:] for k, a in self._table.items()}
+        shapes["index"] = (n,)
+        got = {name: np.shape(array) for name, array in arrays.items()}
+        if got != shapes:
+            raise ValueError(f"store snapshot arrays {got}, expected {shapes}")
+        rows = {client: row for row, client in enumerate(index.tolist())}
+        if index.dtype.kind not in "iu" or len(rows) != n or not all(
+            0 <= client < self.population for client in rows
+        ):
+            raise ValueError(
+                "store snapshot indices must be distinct clients in "
+                f"[0, {self.population})"
             )
-            if rng.shape != (rows, 6) or live.shape != (rows,) or (
-                stats.shape != (rows, 3)
-            ):
-                raise ValueError(
-                    f"shard {shard_id} arrays have the wrong shape for "
-                    f"{rows} rows"
-                )
-            shard.rng[...] = rng
-            shard.live[...] = live
-            shard.stats[...] = stats
-            if shard_id in feedback_shards:
-                shard.feedback = np.asarray(
-                    arrays[f"shard/{shard_id}/feedback"], dtype=np.uint8
-                ).copy()
-            self._shards[shard_id] = shard
+        self._clear()
+        self._reserve(n)
+        self._rows = rows
+        for name, array in self._table.items():
+            array[:n] = arrays[name]
 
     def __repr__(self) -> str:
         return (
             f"ClientStateStore(population={self.population}, "
-            f"shard_size={self.shard_size}, "
-            f"materialized={self.materialized_shards})"
+            f"rows={len(self._rows)})"
         )

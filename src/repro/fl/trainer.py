@@ -97,7 +97,7 @@ class FederatedTrainer:
     :class:`~repro.fl.store.ClientStateStore` (the population model:
     the sampler draws indices, the store materializes views for just
     the active cohort, and advanced RNG streams are written back to
-    the shard arrays at the end of each round).  Both paths run the
+    its rows at the end of each round).  Both paths run the
     same round loop and produce bitwise-identical histories for the
     same streams and data.
     """
@@ -398,7 +398,7 @@ class FederatedTrainer:
                 ]
 
         if self.store is not None:
-            # Account participation into the shard stats and capture
+            # Account participation into the store's stats and capture
             # every view's advanced RNG stream back into its row; after
             # this the round's views are retired and the store is
             # consistent (checkpointable) again.  (The async engine
@@ -566,17 +566,24 @@ class FederatedTrainer:
     ) -> "FederatedTrainer":
         """The build behind :meth:`restore`, from a checkpoint already
         read and verified (``options`` are the optional constructor
-        kwargs).  Building resumes the trace: with a ``trace_path`` the
-        file is truncated to the checkpoint and reopened for append."""
-        from repro.ckpt import apply_run_state, build_resume_tracer
+        kwargs).  The trace resumes only once the checkpoint is
+        accepted: with a ``trace_path`` the file is then truncated to
+        the checkpoint and reopened for append."""
+        from repro.ckpt import (
+            apply_run_state,
+            build_resume_tracer,
+            open_resume_sink,
+        )
 
-        tracer = build_resume_tracer(ckpt.manifest.get("trace"), config)
+        trace_state = ckpt.manifest.get("trace")
+        tracer = build_resume_tracer(trace_state, config)
         trainer = cls(workspace, clients, policy, config, tracer=tracer, **options)
+        apply_run_state(trainer, ckpt)
         if tracer is not None:
             # restore() built this tracer from the config knobs, same
             # as __init__ would have; close() owns it.
+            open_resume_sink(tracer, trace_state, config)
             trainer._owns_tracer = True
-        apply_run_state(trainer, ckpt)
         # The executor snapshotted the workspace at bind time; re-bind
         # so replicas/workers start from the restored parameters.
         trainer.executor.bind(

@@ -191,7 +191,7 @@ class SharedStateRaceRule(ProjectRule):
     state, an imported module, or a parameter whose name matches the
     broadcast-parameter pattern (``shared_param_names``) or the
     client-state-store pattern (``store_param_names``).  The store
-    boundary (DESIGN.md §6f): shard arrays of a
+    boundary (DESIGN.md §6f): the rows of a
     :class:`~repro.fl.store.ClientStateStore` are **coordinator-owned**
     — only the store's own ``checkout``/``writeback``/``record_round``
     mutate them, at round boundaries, on the coordinator thread; a
@@ -275,7 +275,7 @@ class SharedStateRaceRule(ProjectRule):
                                 f"{how} function {fid!r} "
                                 f"writes client-state store parameter "
                                 f"{param!r} ({kind} of "
-                                f"{store['name']!r}); shard arrays are "
+                                f"{store['name']!r}); the store's rows are "
                                 "coordinator-owned — only the store's "
                                 "checkout/writeback/record_round may "
                                 "touch them, at round boundaries",

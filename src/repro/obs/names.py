@@ -37,11 +37,11 @@ METRIC_NAMES = frozenset(
         "comm.status_bytes",
         "comm.uploaded_bytes",
         "comm.uploads",
-        # store.* — sharded population-store accounting (deterministic
-        # for a fixed seed/sampler).
+        # store.* — population-store accounting (deterministic for a
+        # fixed seed/sampler).
         "store.checkouts",
+        "store.rows_materialized",
         "store.rows_written",
-        "store.shards_materialized",
         # ckpt.* — run-state persistence.
         "ckpt.saves",
         # runtime.* — scheduling/wall-clock dependent, rt-isolated.

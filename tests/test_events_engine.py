@@ -304,7 +304,7 @@ class TestConfigError:
     def test_store_process_backend_is_structured(self):
         from repro.fl.store import ClientStateStore
 
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
+        store = ClientStateStore.from_clients(_clients())
         config = FLConfig(
             rounds=2,
             local_epochs=1,

@@ -166,7 +166,7 @@ def test_shared_state_race_module_write_in_worker(tmp_path):
 
 
 def test_shared_state_race_store_param_write_in_worker(tmp_path):
-    # The fl/store boundary: shard arrays are coordinator-owned, so a
+    # The fl/store boundary: the store's rows are coordinator-owned, so a
     # worker-reachable write through a store-named parameter must fire.
     bad = dict(RACE_TREE)
     bad["eng.py"] = bad["eng.py"].replace(

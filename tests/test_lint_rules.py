@@ -584,7 +584,7 @@ class TestMetricNameRegistry:
         source = """\
             def record(metrics, n):
                 metrics.counter("comm.uploads").inc(n)
-                metrics.gauge("store.shards_materialized").set(n)
+                metrics.gauge("store.rows_materialized").set(n)
                 metrics.histogram("runtime.executor.queue_wait").observe(n)
         """
         assert rules_fired(source, MetricNameRegistryRule) == []

@@ -26,7 +26,7 @@ def _traced_metrics():
     sink = MemorySink()
     tracer = Tracer(sinks=[sink])
     tracer.metrics.counter("comm.uploads").inc(7)
-    tracer.metrics.gauge("store.shards_materialized").set(3)
+    tracer.metrics.gauge("store.rows_materialized").set(3)
     hist = tracer.metrics.histogram("runtime.executor.queue_wait")
     for v in (0.01, 0.02, 0.03, 0.04):
         hist.observe(v)
@@ -61,8 +61,8 @@ class TestOpenMetrics:
         types, samples = _parse_openmetrics(to_openmetrics(metrics))
         assert types["comm_uploads"] == "counter"
         assert samples["comm_uploads_total"] == 7
-        assert types["store_shards_materialized"] == "gauge"
-        assert samples["store_shards_materialized"] == 3
+        assert types["store_rows_materialized"] == "gauge"
+        assert samples["store_rows_materialized"] == 3
         # Histogram sketches export as the OpenMetrics summary type.
         assert types["runtime_executor_queue_wait"] == "summary"
         assert samples["runtime_executor_queue_wait_count"] == 4

@@ -1,7 +1,9 @@
-"""The sharded client-state store: parity, laziness, checkpointing."""
+"""The client-state store: parity, laziness, checkpointing."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.feedback import pack_signs, packed_sign_nbytes, unpack_signs
 from repro.core.policy import CMFLPolicy
@@ -17,6 +19,7 @@ from repro.fl.store import (
     ExplicitPartition,
     IndexedPartition,
     StoreClient,
+    _INITIAL_ROWS,
 )
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
@@ -169,21 +172,27 @@ class TestPartitions:
 
 
 class TestStoreCore:
-    def _store(self, population=10_000, shard_size=64, seed=11):
+    def _store(self, population=10_000, seed=11):
         data = _dataset(rows=60)
         part = CyclicPartition(data, population, samples_per_client=10)
-        return ClientStateStore(
-            population, part, seed=seed, shard_size=shard_size
-        )
+        return ClientStateStore(population, part, seed=seed)
 
-    def test_lazy_shards(self):
-        store = self._store()
-        assert store.materialized_shards == 0
-        views = store.checkout([0, 63, 64, 9_999])
-        store.writeback(views)
-        # rows 0 and 63 share shard 0; 64 is shard 1; 9999 is shard 156.
-        assert store.materialized_shards == 3
-        assert store.nbytes > 0
+    def test_one_row_per_touched_client(self):
+        from repro.obs import MetricsRegistry
+
+        footprints = []
+        for population in (10_000, 1_000_000):
+            store = self._store(population=population)
+            store.metrics = MetricsRegistry()
+            assert store.materialized_shards == 0
+            assert store.nbytes == 0
+            views = store.checkout([0, 63, 64, 9_999])
+            store.writeback(views)
+            store.record_round(1, [0], [9_999])
+            assert store.materialized_shards == 4
+            assert store.metrics.counter("store.rows_materialized").value == 4
+            footprints.append(store.nbytes)
+        assert footprints[0] == footprints[1] > 0
 
     def test_streams_are_pure_functions_of_seed_and_index(self):
         # Touch order must not change any client's draws.
@@ -236,7 +245,7 @@ class TestStoreCore:
         with pytest.raises(RuntimeError):
             store.manifest()
         store.writeback(views)
-        assert "shards" in store.manifest()
+        assert "population" in store.manifest()
 
     def test_state_arrays_round_trip(self):
         store = self._store()
@@ -263,13 +272,34 @@ class TestStoreCore:
         with pytest.raises(ValueError):
             self._store(seed=12).load_state(manifest, arrays)
         smaller = ClientStateStore(
-            5_000,
-            CyclicPartition(_dataset(rows=60), 5_000, 10),
-            seed=11,
-            shard_size=64,
+            5_000, CyclicPartition(_dataset(rows=60), 5_000, 10), seed=11
         )
         with pytest.raises(ValueError):
             smaller.load_state(manifest, arrays)
+
+    def test_load_state_validates_table(self):
+        store = self._store()
+        store.writeback(store.checkout([4, 9]))
+        manifest = store.manifest()
+        good = {k: v.copy() for k, v in store.state_arrays().items()}
+        bad_tables = [
+            {**good, "rng": good["rng"][:1]},  # fewer rng rows than indices
+            {**good, "stats": good["stats"][:, :2]},  # wrong stats width
+            {k: v for k, v in good.items() if k != "stats"},  # member gone
+            {**good, "feedback": np.zeros((2, 2), np.uint8)},  # no tracking
+            {**good, "index": np.array([4, 4])},  # repeated client
+            {**good, "index": np.array([4, 10_000])},  # out of range
+            {**good, "index": np.array([-1, 9])},  # negative
+            {**good, "index": np.array([4.0, 9.0])},  # not integers
+        ]
+        for arrays in bad_tables:
+            fresh = self._store()
+            with pytest.raises((KeyError, ValueError)):
+                fresh.load_state(manifest, arrays)
+            assert fresh.materialized_shards == 0
+        fresh = self._store()
+        fresh.load_state(manifest, good)
+        assert fresh.materialized_shards == 2
 
     def test_from_clients_requires_dense_ids(self):
         clients = _clients(3)
@@ -297,18 +327,12 @@ class TestStoreCore:
         }
         assert store.participation_stats(7)["participations"] == 0
         assert np.array_equal(store.feedback_signs(5), np.sign(u_bar))
-        # Same shard, never a participant: an all-zero sign row.
-        assert not store.feedback_signs(99).any()
-        # Untouched shard: no feedback recorded at all.
-        sharded = ClientStateStore(
-            100,
-            CyclicPartition(data, 100, 10),
-            shard_size=8,
-            track_feedback=True,
-            n_params=9,
-        )
-        sharded.record_round(1, [0], [], feedback_sign=u_bar)
-        assert sharded.feedback_signs(99) is None
+        # Never recorded, whether untouched or only checked out: None.
+        assert store.feedback_signs(99) is None
+        store.writeback(store.checkout([7]))
+        assert store.feedback_signs(7) is None
+        with pytest.raises(ValueError):
+            store.record_round(4, [7], [])  # tracking needs the signs
         plain = ClientStateStore(100, CyclicPartition(data, 100, 10))
         with pytest.raises(ValueError):
             plain.feedback_signs(0)
@@ -338,7 +362,7 @@ class TestTrainerParity:
         return trainer
 
     def _store_trainer(self, backend="serial", rounds=5, run=True):
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
+        store = ClientStateStore.from_clients(_clients())
         trainer = FederatedTrainer(
             _workspace(),
             store,
@@ -360,7 +384,7 @@ class TestTrainerParity:
         )
 
     def test_store_with_sampler(self):
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
+        store = ClientStateStore.from_clients(_clients())
         trainer = FederatedTrainer(
             _workspace(),
             store,
@@ -393,7 +417,7 @@ class TestTrainerParity:
     def test_store_counters_account_cohorts(self):
         from repro.obs import MemorySink, Tracer
 
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
+        store = ClientStateStore.from_clients(_clients())
         trainer = FederatedTrainer(
             _workspace(),
             store,
@@ -402,10 +426,11 @@ class TestTrainerParity:
             tracer=Tracer(sinks=[MemorySink()]),
         )
         trainer.run(3)
-        # from_clients touched both shards before the trainer bound the
+        # from_clients made every row before the trainer bound the
         # metrics registry, so only the checkout traffic is counted.
         assert store.metrics.counter("store.checkouts").value == 8 * 3
-        assert store.materialized_shards == 2
+        assert "store.rows_materialized" not in store.metrics
+        assert store.materialized_shards == 8
         trainer.close()
 
     def test_stats_reflect_cmfl_decisions(self):
@@ -423,10 +448,10 @@ class TestTrainerParity:
 
 
 class TestStoreCheckpoint:
-    """Crash/resume with shard state stays bitwise-identical."""
+    """Crash/resume with the store's rows stays bitwise-identical."""
 
     def _build(self):
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
+        store = ClientStateStore.from_clients(_clients())
         return FederatedTrainer(
             _workspace(),
             store,
@@ -446,7 +471,7 @@ class TestStoreCheckpoint:
         resumed = FederatedTrainer.restore(
             path,
             _workspace(),
-            ClientStateStore.from_clients(_clients(), shard_size=4),
+            ClientStateStore.from_clients(_clients()),
             CMFLPolicy(InverseSqrtThreshold(0.8)),
             _config(rounds=8),
             sampler=UniformSampler(0.5, rng=5),
@@ -472,3 +497,201 @@ class TestStoreCheckpoint:
                 _config(rounds=8),
                 sampler=UniformSampler(0.5, rng=5),
             )
+
+    # -- population stores: a cohort drawn from many enrolled clients --
+
+    def _population_build(self, tmp_path=None, seed=11, optimizer=SGD):
+        model = make_logistic_regression(4, rng=3)
+        workspace = ModelWorkspace(
+            model,
+            SigmoidBinaryCrossEntropy(),
+            optimizer(model.parameters(), 0.5),
+        )
+        store = ClientStateStore(
+            1_000, CyclicPartition(_dataset(rows=60), 1_000, 10), seed=seed
+        )
+        config = FLConfig(
+            rounds=8,
+            local_epochs=1,
+            batch_size=5,
+            lr=ConstantLR(0.3),
+            trace_path=None if tmp_path is None else str(tmp_path / "t.jsonl"),
+        )
+        return workspace, store, config
+
+    def _population_trainer(self, **kwargs):
+        workspace, store, config = self._population_build(**kwargs)
+        return FederatedTrainer(
+            workspace,
+            store,
+            CMFLPolicy(InverseSqrtThreshold(0.8)),
+            config,
+            sampler=UniformSampler(count=10, rng=5),
+        )
+
+    def _population_restore(self, path, **kwargs):
+        workspace, store, config = self._population_build(**kwargs)
+        return FederatedTrainer.restore(
+            path,
+            workspace,
+            store,
+            CMFLPolicy(InverseSqrtThreshold(0.8)),
+            config,
+            sampler=UniformSampler(count=10, rng=5),
+        )
+
+    def test_resumed_checkpoint_store_equals_uninterrupted(self, tmp_path):
+        from repro.ckpt import read_checkpoint
+
+        reference = self._population_trainer()
+        reference.run(8)
+        ref = read_checkpoint(reference.save_checkpoint(tmp_path / "ref.ckpt"))
+        crashed = self._population_trainer()
+        crashed.run(4)
+        resumed = self._population_restore(
+            crashed.save_checkpoint(tmp_path / "crash.ckpt")
+        )
+        resumed.run(4)
+        got = read_checkpoint(resumed.save_checkpoint(tmp_path / "res.ckpt"))
+        assert got.manifest["store"] == ref.manifest["store"]
+        store_keys = sorted(k for k in ref.arrays if k.startswith("store/"))
+        assert store_keys == ["store/index", "store/rng", "store/stats"]
+        assert store_keys == sorted(
+            k for k in got.arrays if k.startswith("store/")
+        )
+        for key in store_keys:
+            assert np.array_equal(got.arrays[key], ref.arrays[key]), key
+        assert _history_digest(resumed) == _history_digest(reference)
+
+    @pytest.mark.parametrize(
+        "mismatch",
+        [
+            # A momentum checkpoint restored into an SGD federation.
+            {"optimizer": SGD},
+            # A store checkpoint restored into a store of another seed.
+            {"seed": 12},
+        ],
+        ids=["optimizer", "store_seed"],
+    )
+    def test_rejected_restore_leaves_trace_untouched(
+        self, tmp_path, monkeypatch, mismatch
+    ):
+        import repro.ckpt.state
+        from repro.ckpt.format import CheckpointError
+        from repro.nn.optimizers import Momentum
+
+        optimizer = Momentum if "optimizer" in mismatch else SGD
+        trainer = self._population_trainer(
+            tmp_path=tmp_path, optimizer=optimizer
+        )
+        trainer.run(2)
+        path = trainer.save_checkpoint(tmp_path / "store.ckpt")
+        trainer.run(1)  # events past the checkpoint a resume would cut
+        trainer.close()
+        trace = tmp_path / "t.jsonl"
+        before = trace.read_bytes()
+        opened = []
+        monkeypatch.setattr(
+            repro.ckpt.state, "JsonlSink", lambda *a, **k: opened.append(a)
+        )
+        kwargs = {"optimizer": optimizer, "seed": 11, **mismatch}
+        with pytest.raises(CheckpointError):
+            self._population_restore(path, tmp_path=tmp_path, **kwargs)
+        assert trace.read_bytes() == before
+        assert opened == []
+
+    def test_million_client_checkpoint_has_four_store_members(self, tmp_path):
+        from repro.ckpt import read_checkpoint
+        from repro.experiments.scale import make_scale_trainer
+
+        trainer = make_scale_trainer(1_000_000, 250)
+        trainer.run(5)
+        assert trainer.store.materialized_shards >= 1_000
+        ckpt = read_checkpoint(trainer.save_checkpoint(tmp_path / "1m.ckpt"))
+        members = [k for k in ckpt.arrays if k.startswith("store/")]
+        assert len(members) <= 4, members
+        assert len(ckpt.arrays["store/index"]) == (
+            trainer.store.materialized_shards
+        )
+        trainer.close()
+
+    def test_v1_checkpoint_is_refused(self, tmp_path, monkeypatch):
+        import repro.ckpt.format
+        from repro.ckpt.format import CheckpointError
+
+        trainer = self._population_trainer()
+        trainer.run(2)
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.ckpt.format, "CKPT_SCHEMA", "repro-ckpt/v1")
+            path = trainer.save_checkpoint(tmp_path / "v1.ckpt")
+        with pytest.raises(CheckpointError, match="repro-ckpt/v1"):
+            self._population_restore(path)
+
+
+# -- property: any interleaving, any snapshot point, same rows -------------
+
+_ROUNDS = st.lists(
+    st.tuples(
+        st.sets(st.integers(0, 99_999), min_size=17, max_size=40),
+        st.booleans(),  # writeback before record_round (the async order)
+        st.integers(0, 3),  # draws each view makes
+    ),
+    min_size=4,
+    max_size=7,
+)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(rounds=_ROUNDS, snapshot_at=st.integers(0, 6), data=st.data())
+def test_snapshot_anywhere_matches_uninterrupted(rounds, snapshot_at, data):
+    def build():
+        return ClientStateStore(
+            100_000,
+            CyclicPartition(_dataset(rows=60), 100_000, 10),
+            seed=7,
+            track_feedback=True,
+            n_params=5,
+        )
+
+    touched = set().union(*(cohort for cohort, _, _ in rounds))
+    # Grow past the table's first allocation at least once.
+    assume(len(touched) > _INITIAL_ROWS)
+    plain, snapped = build(), build()
+    for t, (cohort, writeback_first, draws) in enumerate(rounds):
+        if t == snapshot_at:
+            arrays = {k: v.copy() for k, v in snapped.state_arrays().items()}
+            snapped = build()
+            snapped.load_state(plain.manifest(), arrays)
+        cohort = sorted(cohort)
+        uploaded = data.draw(st.sets(st.sampled_from(cohort)))
+        skipped = [i for i in cohort if i not in uploaded]
+        u_bar = np.array([1.0, -1.0, 0.0, float(t), -float(t)])
+        # Some clients are recorded without ever being checked out.
+        extra = data.draw(st.sets(st.integers(0, 99_999), max_size=3))
+        extra -= set(cohort)
+        for store in (plain, snapped):
+            views = store.checkout(cohort)
+            for view in views:
+                view._rng.random(draws)
+            if writeback_first:
+                store.writeback(views)
+            store.record_round(
+                t, sorted(uploaded), skipped + sorted(extra), feedback_sign=u_bar
+            )
+            if not writeback_first:
+                store.writeback(views)
+    for key, array in plain.state_arrays().items():
+        assert np.array_equal(snapped.state_arrays()[key], array), key
+    assert plain.nbytes == snapped.nbytes
+    clients = sorted(touched)
+    for index in clients[:: max(1, len(clients) // 20)]:
+        assert plain.participation_stats(index) == (
+            snapped.participation_stats(index)
+        )
+    a, b = plain.checkout(clients), snapped.checkout(clients)
+    for va, vb in zip(a, b):
+        assert va.rng_state() == vb.rng_state()

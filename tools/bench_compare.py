@@ -257,8 +257,9 @@ def check_scale_rss(scale, max_growth):
     fresh process that federated a fixed cohort over one population
     size.  Every point's RSS must stay within ``max_growth`` times the
     smallest population's RSS — the store's promise is that pool size
-    costs shard touches, not resident memory, so 100k (or 1M) clients
-    at 10x the 1k-point RSS means O(population) state crept back in.
+    costs a row per touched client, not resident memory, so 100k (or
+    1M) clients at 10x the 1k-point RSS means O(population) state
+    crept back in.
 
     Returns (report_lines, failed).
     """
